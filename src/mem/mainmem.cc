@@ -22,10 +22,8 @@ MainMemory::pageFor(Addr addr)
         if (frame == fetchFrame_)
             fetchPage_ = slot.get();
     }
-    if (pageCacheEnabled_) {
-        ent.frame = frame;
-        ent.page = slot.get();
-    }
+    ent.frame = frame;
+    ent.page = slot.get();
     return *slot;
 }
 
@@ -39,22 +37,9 @@ MainMemory::pageForConst(Addr addr) const
     auto it = pages_.find(frame);
     if (it == pages_.end())
         return nullptr; // absent pages are not cached
-    if (pageCacheEnabled_) {
-        ent.frame = frame;
-        ent.page = it->second.get();
-    }
+    ent.frame = frame;
+    ent.page = it->second.get();
     return it->second.get();
-}
-
-void
-MainMemory::setPageCacheEnabled(bool on)
-{
-    pageCacheEnabled_ = on;
-    if (!on) {
-        transCache_.fill(TransEnt{});
-        fetchFrame_ = ~uint64_t{0};
-        fetchPage_ = nullptr;
-    }
 }
 
 void
@@ -207,7 +192,7 @@ uint32_t
 MainMemory::fetchWord(Addr addr) const
 {
     uint64_t off = addr % PageBytes;
-    if (off + 4 > PageBytes || !pageCacheEnabled_) // straddle / A-B mode
+    if (off + 4 > PageBytes) // straddles a page
         return static_cast<uint32_t>(read(addr, 4));
     uint64_t frame = addr / PageBytes;
     if (frame != fetchFrame_) {

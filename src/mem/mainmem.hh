@@ -91,13 +91,6 @@ class MainMemory
     /** Bulk copy-out (range-watchpoint shadow comparison). */
     void readBlock(Addr addr, uint8_t *dst, size_t len) const;
 
-    /**
-     * Toggle the fetch/data page-pointer caches (on by default).
-     * Purely a performance switch — used by bench/throughput.cc to
-     * reproduce the pre-cache hot path for A/B measurement.
-     */
-    void setPageCacheEnabled(bool on);
-
     /** @name Code-write invalidation (predecoded-µop-cache support) */
     ///@{
     void addCodeWatcher(CodeWatcher *w);
@@ -200,7 +193,6 @@ class MainMemory
     std::unordered_map<uint64_t, std::unique_ptr<Page>> pages_;
     std::unordered_set<uint64_t> protectedPages_;
     std::vector<CodeWatcher *> codeWatchers_;
-    bool pageCacheEnabled_ = true;
 
     // Copy-on-write undo log. The epoch is monotonic across intervals;
     // a page's pre-image is captured when its undoEpoch lags the

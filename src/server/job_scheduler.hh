@@ -28,7 +28,7 @@
  * exclusive session access, which the submitting connection delegates
  * to the scheduler for the job's lifetime (the old RunQueue pinned the
  * session to its connection thread instead — with a worker pool the
- * session migrates between workers at slice boundaries, each handoff
+ * session moves between workers at slice boundaries, each handoff
  * ordered by the scheduler mutex). Teardown mid-run stays a
  * slice-boundary affair: session jobs re-check the closing flag before
  * every slice.

@@ -12,11 +12,9 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "common/hex.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "persist/image.hh"
 #include "rsp/server.hh"
 
 namespace dise::server {
@@ -527,8 +525,9 @@ DebugServer::handleWire(const Request &req, WireConn &conn)
       }
       case RequestKind::SessionSelect: {
         // session=0 deselects: the connection drops its reference so
-        // the session counts idle again (migration/hibernate need
-        // this without hanging up the control connection).
+        // the session counts idle again (hibernate needs this, and the
+        // shard supervisor sends it when a client's selection moves to
+        // another shard, without hanging up either connection).
         if (!req.session) {
             sel.reset();
             return resp;
@@ -618,58 +617,6 @@ DebugServer::handleWire(const Request &req, WireConn &conn)
         resp.value = digest;
         return resp;
       }
-      case RequestKind::SessionExport: {
-        // Migration source half: extract the session as a portable
-        // image (hex in text=) and forget it. The digest rides in
-        // value= so the adopting shard's replay can be cross-checked
-        // end to end.
-        uint64_t id = req.session ? req.session : (sel ? sel->id : 0);
-        if (!id)
-            return errorOut("no session selected");
-        if (opts_.faults &&
-            opts_.faults->shouldFail(
-                persist::FaultInjector::Site::MigrateExport))
-            return errorOut("injected fault: migrate-export");
-        // Our own selection reference would count the session busy.
-        bool wasSelected = sel && sel->id == id;
-        if (wasSelected)
-            sel.reset();
-        persist::SessionImage img;
-        std::string err;
-        if (!manager_.extract(id, img, &err)) {
-            if (wasSelected)
-                sel = manager_.find(id);
-            return errorOut(err);
-        }
-        resp.value = img.digest;
-        resp.text = bytesToHex(persist::encodeImage(img));
-        return resp;
-      }
-      case RequestKind::SessionAdopt: {
-        // Migration target half: decode, rebuild, and digest-verified
-        // replay the image into this server's table.
-        if (opts_.faults &&
-            opts_.faults->shouldFail(
-                persist::FaultInjector::Site::MigrateAdopt))
-            return errorOut("injected fault: migrate-adopt");
-        std::vector<uint8_t> bytes;
-        if (!hexToBytes(req.data, bytes))
-            return errorOut("bad image encoding (expected hex)");
-        persist::SessionImage img;
-        std::string detail;
-        persist::ImageErr ie = persist::decodeImage(bytes, img, &detail);
-        if (ie != persist::ImageErr::None)
-            return errorOut(std::string("bad image: ") +
-                            persist::imageErrName(ie) +
-                            (detail.empty() ? "" : ": " + detail));
-        std::string err;
-        ManagedSessionPtr ms = manager_.adopt(img, &err);
-        if (!ms)
-            return errorOut(err);
-        resp.value = ms->id;
-        return resp;
-      }
-      case RequestKind::SessionMigrate:
       case RequestKind::ShardStats:
         return errorOut(
             "this server is not sharded (shard verbs are handled by "
@@ -827,9 +774,9 @@ DebugServer::serveWire(int fd)
         if (n <= 0)
             break;
         buf.append(chunk, static_cast<size_t>(n));
-        // A hostile peer must not grow the buffer without bound. The
-        // cap leaves room for a session-adopt payload (a hex-encoded
-        // SessionImage of a long-lived session runs to megabytes).
+        // A hostile peer must not grow the buffer without bound. No
+        // request verb carries bulk data; the cap only bounds how much
+        // one unterminated line can buffer.
         if (buf.size() > (8u << 20))
             break;
         size_t nl;

@@ -291,181 +291,6 @@ SessionManager::persist(uint64_t id, std::string *err, uint64_t *digest)
     return true;
 }
 
-bool
-SessionManager::extract(uint64_t id, persist::SessionImage &img,
-                        std::string *err)
-{
-    ManagedSessionPtr ms;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        auto it = sessions_.find(id);
-        if (it == sessions_.end()) {
-            // A hibernated session migrates as its stored image.
-            auto h = hibernated_.find(id);
-            if (h == hibernated_.end() || !store_) {
-                if (err)
-                    *err = "no such session";
-                return false;
-            }
-        } else {
-            if (it->second->exclusive) {
-                if (err)
-                    *err = "session is connection-bound (RSP target)";
-                return false;
-            }
-            if (it->second->subscriberCount() > 0) {
-                if (err)
-                    *err = "session has live event subscriptions";
-                return false;
-            }
-            if (it->second.use_count() > 1) {
-                if (err)
-                    *err = "session is busy (selected by a connection "
-                           "or running a job)";
-                return false;
-            }
-            ms = it->second;
-            // Out of the table: no find() can hand it out while the
-            // export runs, so this reference is exclusive.
-            sessions_.erase(it);
-        }
-    }
-    if (!ms) {
-        persist::StoreResult res = store_->load(id, img);
-        if (!res.ok) {
-            if (err)
-                *err = std::string("extract failed: ") +
-                       persist::storeErrName(res.err) + ": " +
-                       res.detail;
-            return false;
-        }
-        std::lock_guard<std::mutex> lk(mu_);
-        hibernated_.erase(id);
-        store_->erase(id);
-        ++migratedOut_;
-        return true;
-    }
-    img = persist::SessionImage{};
-    img.id = ms->id;
-    img.workload = ms->workload;
-    std::string why;
-    if (!ms->session.exportImage(img, &why)) {
-        std::lock_guard<std::mutex> lk(mu_);
-        sessions_.emplace(id, ms); // intact, exactly as it was
-        if (err)
-            *err = why;
-        return false;
-    }
-    std::lock_guard<std::mutex> lk(mu_);
-    // The session now lives on another shard: fold its counters into
-    // the retired totals and drop any on-disk artifact so a crash
-    // here cannot resurrect a zombie copy.
-    retiredUops_ += ms->uops.load(std::memory_order_relaxed);
-    retiredInsts_ += ms->appInsts.load(std::memory_order_relaxed);
-    retiredEvents_ += ms->events.load(std::memory_order_relaxed);
-    retiredJobs_ += ms->jobs.load(std::memory_order_relaxed);
-    retiredPushed_ += ms->eventsPushed.load(std::memory_order_relaxed);
-    retiredDropped_ += ms->droppedSinks.load(std::memory_order_relaxed);
-    if (store_)
-        store_->erase(id);
-    ++migratedOut_;
-    return true;
-}
-
-ManagedSessionPtr
-SessionManager::adopt(const persist::SessionImage &img, std::string *err)
-{
-    // Serialize with resurrect(): two arrivals of the same id race on
-    // the collision check otherwise.
-    std::lock_guard<std::mutex> rlk(resurrectMu_);
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (sessions_.count(img.id) || hibernated_.count(img.id)) {
-            if (err)
-                *err = "session id " + std::to_string(img.id) +
-                       " already exists on this shard";
-            return nullptr;
-        }
-    }
-    Program prog;
-    if (!factory_(img.workload, prog)) {
-        if (err)
-            *err = "workload '" + img.workload + "' is not buildable "
-                   "on this shard";
-        return nullptr;
-    }
-    SessionOptions sopts = opts_.session;
-    sopts.debugger.backend = img.backend;
-    auto ms = std::make_shared<ManagedSession>(
-        img.id, img.workload, std::move(prog), std::move(sopts), false);
-
-    {
-        TRACE_SPAN("session", "session.adopt");
-        uint64_t t0 = obs::nowNs();
-        bool done = false;
-        std::string serr;
-        if (!ms->session.resurrectBegin(img, done, &serr)) {
-            if (err)
-                *err = "adopt replay failed: " + serr;
-            return nullptr;
-        }
-        while (!done) {
-            if (!ms->session.resurrectStep(0, done, &serr)) {
-                if (err)
-                    *err = "adopt replay failed: " + serr;
-                return nullptr;
-            }
-        }
-        obs::metrics().resurrectReplayUs.observe(obs::usSince(t0));
-    }
-    ms->publishProgress();
-
-    // Make the migration durable on this shard before admitting: a
-    // crash from here on recovers the session from this store.
-    if (store_) {
-        persist::StoreResult res = store_->put(img);
-        if (!res.ok) {
-            if (err)
-                *err = std::string("adopt persist failed: ") +
-                       persist::storeErrName(res.err) + ": " +
-                       res.detail;
-            return nullptr;
-        }
-    }
-
-    // Admit under the cap, evicting an LRU idle victim if needed
-    // (mirroring create()).
-    std::set<uint64_t> tried;
-    for (;;) {
-        uint64_t victim = 0;
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            if (!opts_.maxSessions ||
-                sessions_.size() < opts_.maxSessions) {
-                sessions_.emplace(img.id, ms);
-                reserveIdLocked(img.id);
-                ++migratedIn_;
-                peak_ = std::max<uint64_t>(peak_, sessions_.size());
-                touch(*ms);
-                return ms;
-            }
-            victim = store_ ? victimLocked(tried) : 0;
-            if (!victim) {
-                if (store_)
-                    store_->erase(img.id);
-                if (err)
-                    *err = "session cap reached (" +
-                           std::to_string(opts_.maxSessions) +
-                           ") and no idle session to hibernate";
-                return nullptr;
-            }
-        }
-        std::string hibErr;
-        if (!hibernate(victim, &hibErr))
-            tried.insert(victim);
-    }
-}
-
 ManagedSessionPtr
 SessionManager::resurrect(uint64_t id, std::string *err)
 {
@@ -652,8 +477,6 @@ SessionManager::stats() const
     s.hibernated = hibernated_.size();
     s.evictions = evictions_;
     s.resurrections = resurrections_;
-    s.migratedIn = migratedIn_;
-    s.migratedOut = migratedOut_;
     if (store_)
         s.quarantined = store_->counters().quarantined;
     // Per-tool counters, rolled up by tool name across live sessions.

@@ -205,9 +205,8 @@ struct SessionManagerOptions
     SessionOptions session{};
     /** First id this manager mints and the step between minted ids.
      *  A sharded server gives worker k idStart=k+1, idStride=N so the
-     *  shards create disjoint ids with no coordination (adopted /
-     *  migrated-in ids may break the residue; minting skips past
-     *  them while keeping it). */
+     *  shards create disjoint ids with no coordination, and an id
+     *  routes back to its shard by residue. */
     uint64_t idStart = 1;
     uint64_t idStride = 1;
 };
@@ -284,21 +283,6 @@ class SessionManager
     void touch(ManagedSession &ms);
     ///@}
 
-    /** @name Live migration (sharded servers)
-     * extract() serializes an idle session out of this manager — same
-     * idle checks as hibernate(), but the image leaves in memory and
-     * the session (plus any on-disk artifact) is gone from this shard
-     * on success. adopt() is the other half: rebuild + digest-verified
-     * replay from a wire-carried image, admitted under the cap and
-     * re-persisted to this shard's store so a crash right after the
-     * migration still recovers it. Both fail with no state change. */
-    ///@{
-    bool extract(uint64_t id, persist::SessionImage &img,
-                 std::string *err = nullptr);
-    ManagedSessionPtr adopt(const persist::SessionImage &img,
-                            std::string *err = nullptr);
-    ///@}
-
     /** Admission counters + per-session rollups (live + retired).
      *  Never blocks on a running session. */
     ServerStats stats() const;
@@ -333,8 +317,6 @@ class SessionManager
     uint64_t peak_ = 0;
     uint64_t evictions_ = 0;
     uint64_t resurrections_ = 0;
-    uint64_t migratedIn_ = 0;
-    uint64_t migratedOut_ = 0;
     // Totals folded in from destroyed (or hibernated) sessions.
     uint64_t retiredUops_ = 0;
     uint64_t retiredInsts_ = 0;

@@ -4,6 +4,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -23,6 +24,20 @@ runShardChild(const ShardProcessSpec &spec, int handshakeWr,
               int lifelineRd)
 {
     ::signal(SIGPIPE, SIG_IGN);
+
+    // Keep stdio and our two pipe ends; drop every other descriptor the
+    // fork copied. Among them are the write ends of sibling shards'
+    // lifelines, and a sibling holding one open would hide the EOF
+    // that tells that shard to stop.
+    int keep[2] = {std::min(handshakeWr, lifelineRd),
+                   std::max(handshakeWr, lifelineRd)};
+    unsigned from = 3;
+    for (int fd : keep) {
+        if (static_cast<unsigned>(fd) > from)
+            ::close_range(from, static_cast<unsigned>(fd) - 1, 0);
+        from = static_cast<unsigned>(fd) + 1;
+    }
+    ::close_range(from, ~0u, 0);
 
     DebugServerOptions opts = spec.server;
     opts.port = 0; // always ephemeral; the supervisor owns the public port

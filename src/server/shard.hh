@@ -21,9 +21,8 @@
  *
  * Session-id minting: shard k of N runs with idStart=k+1, idStride=N
  * so sibling shards mint globally disjoint session ids with no
- * cross-process coordination, and an id maps to its minting shard by
- * residue (until a migration moves it — the supervisor's routing
- * table tracks that).
+ * cross-process coordination. Sessions never move between shards, so
+ * the supervisor routes id to shard (id-1) % N by residue alone.
  */
 
 #ifndef DISE_SERVER_SHARD_HH

@@ -95,8 +95,17 @@ ShardSupervisor::~ShardSupervisor()
 }
 
 bool
-ShardSupervisor::start()
+ShardSupervisor::start(std::string *err)
 {
+    auto fail = [&](const std::string &why) {
+        if (err)
+            *err = why;
+        else
+            std::fprintf(stderr, "supervisor: %s\n", why.c_str());
+        stop();
+        return false;
+    };
+
     // Fork the fleet before the listener: by the time a client can
     // connect, every shard answers (and has recovered its store).
     specs_.resize(opts_.shards);
@@ -110,12 +119,9 @@ ShardSupervisor::start()
             spec.server.storeDir =
                 opts_.worker.storeDir + "/shard-" + std::to_string(k);
         shards_.push_back(std::make_unique<Shard>());
-        std::string err;
-        if (!spawnShardProcess(spec, shards_.back()->proc, &err)) {
-            std::fprintf(stderr, "supervisor: %s\n", err.c_str());
-            stop();
-            return false;
-        }
+        std::string serr;
+        if (!spawnShardProcess(spec, shards_.back()->proc, &serr))
+            return fail(serr);
         shards_.back()->alive.store(true);
         if (opts_.verbose)
             std::fprintf(stderr,
@@ -124,11 +130,33 @@ ShardSupervisor::start()
                          shards_.back()->proc.port);
     }
 
-    listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listenFd_ < 0) {
-        stop();
-        return false;
+    // Routing is by residue, so every recovered id must sit on the
+    // shard its residue names. A store written by a fleet of another
+    // size breaks that; refuse it rather than strand its sessions.
+    if (!opts_.worker.storeDir.empty()) {
+        Request list;
+        list.kind = RequestKind::SessionList;
+        for (unsigned k = 0; k < shards_.size(); ++k) {
+            Response resp;
+            std::string lerr;
+            if (!ctlCall(k, list, resp, &lerr) || !resp.ok())
+                return fail(lerr.empty() ? resp.error : lerr);
+            for (uint64_t id : resp.regs)
+                if (shardOf(id) != k)
+                    return fail(
+                        "store " + opts_.worker.storeDir +
+                        " was written by a fleet of another size: "
+                        "shard " + std::to_string(k) +
+                        " recovered session " + std::to_string(id) +
+                        ", which routes to shard " +
+                        std::to_string(shardOf(id)) + " of " +
+                        std::to_string(shards_.size()));
+        }
     }
+
+    listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (listenFd_ < 0)
+        return fail(std::string("socket: ") + std::strerror(errno));
     int one = 1;
     ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
     sockaddr_in addr{};
@@ -137,10 +165,10 @@ ShardSupervisor::start()
     addr.sin_port = htons(opts_.port);
     if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
                sizeof addr) < 0 ||
-        ::listen(listenFd_, 16) < 0) {
-        stop();
-        return false;
-    }
+        ::listen(listenFd_, 16) < 0)
+        return fail("cannot listen on 127.0.0.1:" +
+                    std::to_string(opts_.port) + ": " +
+                    std::strerror(errno));
     socklen_t len = sizeof addr;
     if (::getsockname(listenFd_, reinterpret_cast<sockaddr *>(&addr),
                       &len) == 0)
@@ -149,8 +177,6 @@ ShardSupervisor::start()
     acceptThread_ =
         std::thread([this, fd = listenFd_] { acceptLoop(fd); });
     monitorThread_ = std::thread([this] { monitorLoop(); });
-    if (opts_.balanceIntervalMs)
-        balanceThread_ = std::thread([this] { balanceLoop(); });
     return true;
 }
 
@@ -169,8 +195,6 @@ ShardSupervisor::stop()
     }
     if (acceptThread_.joinable())
         acceptThread_.join();
-    if (balanceThread_.joinable())
-        balanceThread_.join();
     // Monitor goes before reaping: it also waitpids.
     if (monitorThread_.joinable())
         monitorThread_.join();
@@ -278,43 +302,8 @@ ShardSupervisor::ctlCall(unsigned k, const Request &req, Response &resp,
     return false;
 }
 
-bool
-ShardSupervisor::locate(uint64_t id, unsigned &shard, std::string *err)
-{
-    {
-        std::lock_guard<std::mutex> lk(routeMu_);
-        auto it = route_.find(id);
-        if (it != route_.end()) {
-            shard = it->second;
-            return true;
-        }
-    }
-    // Probe: after a crash or a cold supervisor the routing table is
-    // incomplete; session-list per shard rebuilds it.
-    Request list;
-    list.kind = RequestKind::SessionList;
-    bool found = false;
-    for (unsigned k = 0; k < shards_.size(); ++k) {
-        Response resp;
-        if (!ctlCall(k, list, resp) || !resp.ok())
-            continue;
-        std::lock_guard<std::mutex> lk(routeMu_);
-        for (uint64_t got : resp.regs) {
-            route_[got] = k;
-            if (got == id) {
-                shard = k;
-                found = true;
-            }
-        }
-    }
-    if (!found && err)
-        *err = "no such session " + std::to_string(id) +
-               " on any shard";
-    return found;
-}
-
 unsigned
-ShardSupervisor::leastLoadedShard(int excluding)
+ShardSupervisor::leastLoadedShard()
 {
     unsigned best = 0;
     uint64_t bestLoad = ~0ull;
@@ -322,8 +311,6 @@ ShardSupervisor::leastLoadedShard(int excluding)
     Request req;
     req.kind = RequestKind::ServerStats;
     for (unsigned k = 0; k < shards_.size(); ++k) {
-        if (static_cast<int>(k) == excluding)
-            continue;
         if (!shards_[k]->alive.load())
             continue;
         Response resp;
@@ -343,150 +330,6 @@ ShardSupervisor::leastLoadedShard(int excluding)
                    connectionsServed_.load(std::memory_order_relaxed)) %
                static_cast<unsigned>(std::max<size_t>(1, shards_.size()));
     return best;
-}
-
-// ----------------------------------------------------------- migration
-
-bool
-ShardSupervisor::migrate(uint64_t id, int target, std::string *err)
-{
-    unsigned src = 0;
-    if (!locate(id, src, err))
-        return false;
-    unsigned dst;
-    if (target >= 0) {
-        if (static_cast<size_t>(target) >= shards_.size()) {
-            if (err)
-                *err = "no such shard " + std::to_string(target);
-            return false;
-        }
-        dst = static_cast<unsigned>(target);
-    } else {
-        dst = leastLoadedShard(static_cast<int>(src));
-    }
-    if (dst == src)
-        return true; // already there
-
-    // Export first. Any failure here leaves the session exactly where
-    // it was.
-    if (opts_.faults &&
-        opts_.faults->shouldFail(
-            persist::FaultInjector::Site::MigrateExport)) {
-        if (err)
-            *err = "injected fault: migrate-export";
-        return false;
-    }
-    Request ex;
-    ex.kind = RequestKind::SessionExport;
-    ex.session = id;
-    Response exResp;
-    if (!ctlCall(src, ex, exResp, err))
-        return false;
-    if (!exResp.ok()) {
-        if (err)
-            *err = exResp.error;
-        return false;
-    }
-
-    // Adopt on the target. From here the session exists only as the
-    // image in our hands: on ANY failure we re-adopt it back onto the
-    // source so the outcome is old-or-new, never neither.
-    std::string adoptErr;
-    bool adopted = false;
-    if (opts_.faults &&
-        opts_.faults->shouldFail(
-            persist::FaultInjector::Site::MigrateAdopt)) {
-        adoptErr = "injected fault: migrate-adopt";
-    } else {
-        Request ad;
-        ad.kind = RequestKind::SessionAdopt;
-        ad.data = exResp.text;
-        Response adResp;
-        if (!ctlCall(dst, ad, adResp, &adoptErr)) {
-            // transport error already in adoptErr
-        } else if (!adResp.ok()) {
-            adoptErr = adResp.error;
-        } else {
-            adopted = true;
-        }
-    }
-    if (!adopted) {
-        Request back;
-        back.kind = RequestKind::SessionAdopt;
-        back.data = exResp.text;
-        Response backResp;
-        std::string backErr;
-        if (ctlCall(src, back, backResp, &backErr) && backResp.ok()) {
-            if (err)
-                *err = adoptErr + " (session restored on shard " +
-                       std::to_string(src) + ")";
-        } else if (err) {
-            *err = adoptErr + "; restore on shard " +
-                   std::to_string(src) + " also failed: " +
-                   (backErr.empty() ? backResp.error : backErr);
-        }
-        return false;
-    }
-
-    {
-        std::lock_guard<std::mutex> lk(routeMu_);
-        route_[id] = dst;
-    }
-    migrations_.fetch_add(1, std::memory_order_relaxed);
-    if (opts_.verbose)
-        std::fprintf(stderr,
-                     "supervisor: migrated session %llu: shard %u -> "
-                     "%u (digest %016llx)\n",
-                     static_cast<unsigned long long>(id), src, dst,
-                     static_cast<unsigned long long>(exResp.value));
-    return true;
-}
-
-bool
-ShardSupervisor::balanceOnce(std::string *err)
-{
-    std::vector<ShardStatsRow> rows = shardStats();
-    if (rows.size() < 2)
-        return false;
-    const ShardStatsRow *hot = nullptr;
-    const ShardStatsRow *cold = nullptr;
-    for (const ShardStatsRow &r : rows) {
-        if (!hot || r.queueWaitMeanUs > hot->queueWaitMeanUs)
-            hot = &r;
-        if (!cold || r.queueWaitMeanUs < cold->queueWaitMeanUs)
-            cold = &r;
-    }
-    if (!hot || !cold || hot->index == cold->index)
-        return false;
-    if (hot->queueWaitMeanUs < opts_.balanceMinQueueWaitUs)
-        return false; // fleet is idle; don't shuffle over noise
-    if (cold->queueWaitMeanUs &&
-        static_cast<double>(hot->queueWaitMeanUs) <
-            opts_.balanceRatio *
-                static_cast<double>(cold->queueWaitMeanUs))
-        return false;
-    if (hot->sessions + hot->hibernated < 2)
-        return false; // nothing worth moving
-
-    // Move the first idle session that will go; busy ones refuse the
-    // export and we try the next.
-    Request list;
-    list.kind = RequestKind::SessionList;
-    Response resp;
-    if (!ctlCall(static_cast<unsigned>(hot->index), list, resp) ||
-        !resp.ok())
-        return false;
-    unsigned tries = 0;
-    for (uint64_t id : resp.regs) {
-        if (++tries > 4)
-            break;
-        std::string merr;
-        if (migrate(id, static_cast<int>(cold->index), &merr))
-            return true;
-        if (err)
-            *err = merr;
-    }
-    return false;
 }
 
 // --------------------------------------------------------------- stats
@@ -512,8 +355,6 @@ ShardSupervisor::shardStats()
             row.totalUops = resp.server.totalUops;
             row.appInsts = resp.server.totalAppInsts;
             row.queueWaitMeanUs = queueWaitMeanUs(resp.server);
-            row.migratedIn = resp.server.migratedIn;
-            row.migratedOut = resp.server.migratedOut;
         }
         rows.push_back(row);
     }
@@ -551,8 +392,6 @@ ShardSupervisor::fleetStats()
         fleet.resurrections += s.resurrections;
         fleet.quarantined += s.quarantined;
         fleet.faultsInjected += s.faultsInjected;
-        fleet.migratedIn += s.migratedIn;
-        fleet.migratedOut += s.migratedOut;
         obs::mergeHistogramSnapshots(fleet.hists, s.hists);
         for (const tools::ToolStatsRow &row : s.tools) {
             tools::ToolStatsRow *agg = nullptr;
@@ -569,8 +408,6 @@ ShardSupervisor::fleetStats()
             }
         }
     }
-    if (opts_.faults)
-        fleet.faultsInjected = opts_.faults->injected();
     return fleet;
 }
 
@@ -696,17 +533,22 @@ ShardSupervisor::serveWireProxy(int fd)
         legs[k] = std::move(c);
         return raw;
     };
-    auto deselect = [&](int k) {
-        if (k < 0)
-            return;
-        auto it = legs.find(static_cast<unsigned>(k));
-        if (it == legs.end() || !it->second->connected())
-            return;
-        Request d;
-        d.kind = RequestKind::SessionSelect;
-        d.session = 0;
-        Response resp;
-        it->second->call(d, resp);
+    // A verb just selected a session on shard k. When the selection
+    // moved off another shard, deselect there so the session the old
+    // leg held counts idle again. A failed select changes nothing,
+    // exactly as on one server.
+    auto selected = [&](unsigned k) {
+        if (cur >= 0 && cur != static_cast<int>(k)) {
+            auto it = legs.find(static_cast<unsigned>(cur));
+            if (it != legs.end() && it->second->connected()) {
+                Request d;
+                d.kind = RequestKind::SessionSelect;
+                d.session = 0;
+                Response resp;
+                it->second->call(d, resp);
+            }
+        }
+        cur = static_cast<int>(k);
     };
     auto sendResp = [&](const Response &resp) {
         return out->sendLine(encodeResponse(resp));
@@ -776,15 +618,10 @@ ShardSupervisor::serveWireProxy(int fd)
                      static_cast<size_t>(req.shard) < shards_.size())
                         ? static_cast<unsigned>(req.shard)
                         : leastLoadedShard();
-                if (cur >= 0 && cur != static_cast<int>(k))
-                    deselect(cur);
                 Response resp;
                 dead = !forward(req, k, line, &resp);
-                if (resp.ok()) {
-                    std::lock_guard<std::mutex> lk(routeMu_);
-                    route_[resp.value] = k;
-                    cur = static_cast<int>(k);
-                }
+                if (resp.ok())
+                    selected(k);
                 break;
               }
               case RequestKind::SessionSelect: {
@@ -800,24 +637,16 @@ ShardSupervisor::serveWireProxy(int fd)
                     }
                     break;
                 }
-                unsigned k = 0;
-                std::string lerr;
-                if (!locate(req.session, k, &lerr)) {
-                    dead = !sendErr(req, lerr);
-                    break;
-                }
-                if (cur >= 0 && cur != static_cast<int>(k))
-                    deselect(cur);
+                unsigned k = shardOf(req.session);
                 Response resp;
                 dead = !forward(req, k, line, &resp);
                 if (resp.ok())
-                    cur = static_cast<int>(k);
+                    selected(k);
                 break;
               }
               case RequestKind::SessionDestroy:
               case RequestKind::SessionHibernate:
               case RequestKind::SessionPersist:
-              case RequestKind::SessionExport:
               case RequestKind::ToolEnable:
               case RequestKind::ToolDisable:
               case RequestKind::ToolList:
@@ -833,68 +662,15 @@ ShardSupervisor::serveWireProxy(int fd)
                         !forward(req, static_cast<unsigned>(cur), line);
                     break;
                 }
-                unsigned k = 0;
-                std::string lerr;
-                if (!locate(req.session, k, &lerr)) {
-                    dead = !sendErr(req, lerr);
-                    break;
-                }
+                unsigned k = shardOf(req.session);
                 bool selects = req.kind == RequestKind::ToolEnable ||
                                req.kind == RequestKind::ToolDisable ||
                                req.kind == RequestKind::ToolList ||
                                req.kind == RequestKind::ToolReport;
-                if (selects && cur >= 0 && cur != static_cast<int>(k))
-                    deselect(cur);
                 Response resp;
                 dead = !forward(req, k, line, &resp);
-                if (resp.ok()) {
-                    if (selects)
-                        cur = static_cast<int>(k);
-                    if (req.kind == RequestKind::SessionDestroy ||
-                        req.kind == RequestKind::SessionExport) {
-                        std::lock_guard<std::mutex> lk(routeMu_);
-                        route_.erase(req.session);
-                    }
-                }
-                break;
-              }
-              case RequestKind::SessionAdopt: {
-                unsigned k =
-                    (req.shard >= 0 &&
-                     static_cast<size_t>(req.shard) < shards_.size())
-                        ? static_cast<unsigned>(req.shard)
-                        : leastLoadedShard();
-                Response resp;
-                dead = !forward(req, k, line, &resp);
-                if (resp.ok()) {
-                    std::lock_guard<std::mutex> lk(routeMu_);
-                    route_[resp.value] = k;
-                }
-                break;
-              }
-              case RequestKind::SessionMigrate: {
-                if (!req.session) {
-                    dead = !sendErr(req, "session-migrate needs "
-                                         "session=<id>");
-                    break;
-                }
-                std::string merr;
-                if (!migrate(req.session,
-                             static_cast<int>(req.shard), &merr)) {
-                    dead = !sendErr(req, merr);
-                    break;
-                }
-                Response resp;
-                resp.seq = req.seq;
-                resp.inReplyTo = req.kind;
-                resp.value = req.session;
-                {
-                    std::lock_guard<std::mutex> lk(routeMu_);
-                    auto it = route_.find(req.session);
-                    if (it != route_.end())
-                        resp.index = static_cast<int>(it->second);
-                }
-                dead = !sendResp(resp);
+                if (resp.ok() && selects)
+                    selected(k);
                 break;
               }
               case RequestKind::SessionList: {
@@ -907,11 +683,8 @@ ShardSupervisor::serveWireProxy(int fd)
                     Response resp;
                     if (!ctlCall(k, list, resp) || !resp.ok())
                         continue;
-                    std::lock_guard<std::mutex> lk(routeMu_);
-                    for (uint64_t id : resp.regs) {
-                        merged.regs.push_back(id);
-                        route_[id] = k;
-                    }
+                    merged.regs.insert(merged.regs.end(),
+                                       resp.regs.begin(), resp.regs.end());
                 }
                 std::sort(merged.regs.begin(), merged.regs.end());
                 dead = !sendResp(merged);
@@ -995,24 +768,10 @@ ShardSupervisor::monitorLoop()
             sh.proc = fresh;
             sh.restarts.fetch_add(1, std::memory_order_relaxed);
             sh.alive.store(true);
-            // Routing entries for this shard stay valid: the
-            // replacement recovered the same store slice, so ids
-            // resolve to hibernated sessions ready to resurrect.
+            // The replacement recovered the same store slice, so the
+            // shard's ids resolve to hibernated sessions ready to
+            // resurrect.
         }
-    }
-}
-
-void
-ShardSupervisor::balanceLoop()
-{
-    while (!stopping_.load()) {
-        for (unsigned waited = 0;
-             waited < opts_.balanceIntervalMs && !stopping_.load();
-             waited += 50)
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        if (stopping_.load())
-            return;
-        balanceOnce();
     }
 }
 

@@ -1,8 +1,7 @@
 /**
  * @file
  * The shard supervisor: one public port in front of N worker shard
- * processes, with session routing, live migration, crash recovery,
- * and queue-wait-driven load balancing.
+ * processes, with session routing and crash respawn.
  *
  * The supervisor owns the TCP port clients connect to. Every worker
  * shard (src/server/shard.hh) is a full DebugServer forked into its
@@ -13,32 +12,24 @@
  *  - RSP connections are sniffed by first byte and byte-pumped
  *    verbatim to the least-loaded shard (gdb's one-target model
  *    means a connection, once placed, never needs re-routing).
- *  - Typed-wire connections are decoded line by line. Session-
- *    addressed verbs follow the routing table (id → shard, with a
- *    session-list probe fallback after crashes); session-create
- *    places new sessions on the least-loaded shard (or the one named
- *    by `shard=`); fleet verbs (session-list, server-stats) fan out
- *    and merge; `shard-stats` and `session-migrate` are answered by
- *    the supervisor itself. Each client connection keeps one
- *    downstream leg per shard it touches, and the supervisor
- *    transparently deselects on the old leg when the client's
- *    selection moves between shards.
- *
- * Live migration is export-then-adopt: `session-export` extracts the
- * session from its source shard as a portable image (digest
- * included), `session-adopt` rebuilds it on the target via
- * digest-verified replay. On any adopt failure the supervisor
- * re-adopts the image back onto the source — the session exists as
- * exactly its old or its new incarnation, never both, never neither.
- * A FaultInjector can be armed at the MigrateExport/MigrateAdopt
- * sites to chaos-test precisely that invariant.
+ *  - Typed-wire connections are decoded line by line. A session never
+ *    leaves the shard that minted it, and shard k of N mints ids
+ *    k+1, k+1+N, ..., so a session-addressed verb goes to shard
+ *    (id-1) % N with no table and no probe; an id no shard holds gets
+ *    that shard's own "no such session". session-create places new
+ *    sessions on the least-loaded shard (or the one named by
+ *    `shard=`); fleet verbs (session-list, server-stats) fan out and
+ *    merge; `shard-stats` is answered by the supervisor itself. Each
+ *    client connection keeps one downstream leg per shard it touches,
+ *    and the supervisor transparently deselects on the old leg when
+ *    the client's selection moves between shards.
  *
  * A monitor thread reaps crashed shards and respawns them on the
  * same store directory, so persisted sessions of a kill -9'd worker
- * come back (hibernated) on the replacement. The optional balancer
- * compares per-shard scheduler queue-wait means and migrates idle
- * sessions off the most backlogged shard when the spread exceeds a
- * ratio.
+ * come back (hibernated) on the replacement, at the same residue.
+ * start() refuses a store written by a fleet of another size: a
+ * recovered id whose residue names another shard could never be
+ * reached.
  */
 
 #ifndef DISE_SERVER_SUPERVISOR_HH
@@ -50,7 +41,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "server/shard.hh"
@@ -72,19 +62,6 @@ struct ShardSupervisorOptions
     bool verbose = false;
     /** Respawn crashed shards (tests may disable to observe death). */
     bool respawn = true;
-    /** Balancer period; 0 = no background balancer (balanceOnce()
-     *  still works for deterministic tests). */
-    unsigned balanceIntervalMs = 0;
-    /** Migrate when max/min shard queue-wait mean exceeds this. */
-    double balanceRatio = 4.0;
-    /** ...and the max mean is at least this many µs (don't shuffle
-     *  sessions over noise on an idle fleet). */
-    uint64_t balanceMinQueueWaitUs = 200;
-    /** Supervisor-side migration chaos (MigrateExport/MigrateAdopt
-     *  sites consulted before the corresponding wire call). Worker
-     *  processes inherit whatever arming existed at spawn time; this
-     *  injector drives the supervisor's own decision points. */
-    persist::FaultInjector *faults = nullptr;
 };
 
 class ShardSupervisor
@@ -96,8 +73,10 @@ class ShardSupervisor
     ShardSupervisor(const ShardSupervisor &) = delete;
     ShardSupervisor &operator=(const ShardSupervisor &) = delete;
 
-    /** Fork the shards, bind the public port, start routing. */
-    bool start();
+    /** Fork the shards, bind the public port, start routing. Fails
+     *  (with @p err) when a shard does not start or a recovered session
+     *  id's residue names another shard. */
+    bool start(std::string *err = nullptr);
     void stop();
 
     uint16_t port() const { return port_; }
@@ -112,16 +91,6 @@ class ShardSupervisor
     bool killShard(unsigned k);
     bool waitForRespawn(unsigned k, unsigned timeoutMs = 15000);
 
-    /** Migrate session @p id to shard @p target (< 0 = least loaded
-     *  other shard). Old-or-new on failure, never corrupt. */
-    bool migrate(uint64_t id, int target, std::string *err = nullptr);
-    /** One balancer pass; true when it migrated something. */
-    bool balanceOnce(std::string *err = nullptr);
-    uint64_t migrations() const
-    {
-        return migrations_.load(std::memory_order_relaxed);
-    }
-
     /** Per-shard load rows (the `shard-stats` verb's payload). */
     std::vector<ShardStatsRow> shardStats();
     /** Fleet-wide merged stats (the `server-stats` payload). */
@@ -133,8 +102,8 @@ class ShardSupervisor
         ShardProcess proc;
         std::atomic<uint64_t> restarts{0};
         std::atomic<bool> alive{false};
-        /** Control leg for supervisor-originated verbs (probes,
-         *  stats, export/adopt); lazily (re)connected. */
+        /** Control leg for supervisor-originated verbs (fan-out,
+         *  stats, probes); lazily (re)connected. */
         std::mutex ctlMu;
         std::unique_ptr<WireClient> ctl;
     };
@@ -144,30 +113,27 @@ class ShardSupervisor
     void serveRspProxy(int fd, char firstByte);
     void serveWireProxy(int fd);
     void monitorLoop();
-    void balanceLoop();
 
     /** Typed call on shard k's control leg (reconnects once). */
     bool ctlCall(unsigned k, const Request &req, Response &resp,
                  std::string *err = nullptr);
-    /** Shard currently hosting @p id: routing table, then probe. */
-    bool locate(uint64_t id, unsigned &shard, std::string *err);
+    /** The shard that minted (and so holds) session @p id >= 1. */
+    unsigned shardOf(uint64_t id) const
+    {
+        return static_cast<unsigned>((id - 1) % shards_.size());
+    }
     /** Shard with the fewest live sessions (ties → lowest index). */
-    unsigned leastLoadedShard(int excluding = -1);
+    unsigned leastLoadedShard();
 
     ShardSupervisorOptions opts_;
     std::vector<std::unique_ptr<Shard>> shards_;
     std::vector<ShardProcessSpec> specs_;
 
-    std::mutex routeMu_;
-    std::unordered_map<uint64_t, unsigned> route_;
-
     int listenFd_ = -1;
     uint16_t port_ = 0;
     std::thread acceptThread_;
     std::thread monitorThread_;
-    std::thread balanceThread_;
     std::atomic<bool> stopping_{false};
-    std::atomic<uint64_t> migrations_{0};
     std::atomic<uint64_t> connectionsServed_{0};
 
     struct Conn

@@ -13,8 +13,8 @@
  * no sequence bookkeeping on the read side.
  *
  * The supervisor (src/server/supervisor.hh) uses WireClients in two
- * roles: one control client per worker shard (probes, stats,
- * export/adopt during migration), and one per client-connection
+ * roles: one control client per worker shard (fleet fan-out, stats,
+ * placement and respawn probes), and one per client-connection
  * downstream leg, whose event handler forwards pushes to the real
  * client.
  */

@@ -1759,10 +1759,7 @@ DebugSession::dispatch(const Request &req)
       case RequestKind::TraceStop:
       case RequestKind::TraceDump:
       case RequestKind::Metrics:
-      case RequestKind::SessionMigrate:
       case RequestKind::ShardStats:
-      case RequestKind::SessionExport:
-      case RequestKind::SessionAdopt:
         return errorOut("session management verbs are handled by the "
                         "multi-session server, not a session");
     }

@@ -58,10 +58,7 @@ constexpr KindToken kRequestTokens[] = {
     {RequestKind::ToolDisable, "tool-disable"},
     {RequestKind::ToolList, "tool-list"},
     {RequestKind::ToolReport, "tool-report"},
-    {RequestKind::SessionMigrate, "session-migrate"},
     {RequestKind::ShardStats, "shard-stats"},
-    {RequestKind::SessionExport, "session-export"},
-    {RequestKind::SessionAdopt, "session-adopt"},
 };
 
 struct BackendToken
@@ -468,16 +465,7 @@ encodeRequest(const Request &req)
         break;
       case RequestKind::SessionSelect:
       case RequestKind::SessionDestroy:
-      case RequestKind::SessionExport:
         w.num("session", req.session);
-        break;
-      case RequestKind::SessionMigrate:
-        w.num("session", req.session);
-        if (req.shard >= 0)
-            w.snum("shard", req.shard);
-        break;
-      case RequestKind::SessionAdopt:
-        w.str("data", req.data);
         break;
       case RequestKind::SessionHibernate:
       case RequestKind::SessionPersist:
@@ -608,23 +596,13 @@ decodeRequest(const std::string &line, Request &req, std::string *err)
         std::string tok = r.raw("backend");
         if (!tok.empty() && !parseBackendToken(tok, req.backend))
             return fail(err, "unknown backend '" + tok + "'");
-        r.snum("shard", req.shard); // optional: balancer picks
+        r.snum("shard", req.shard); // optional: least loaded picks
         break;
       }
       case RequestKind::SessionSelect:
       case RequestKind::SessionDestroy:
-      case RequestKind::SessionExport:
         if (!r.num("session", req.session))
             return fail(err, "session verb needs session=");
-        break;
-      case RequestKind::SessionMigrate:
-        if (!r.num("session", req.session))
-            return fail(err, "session-migrate needs session=");
-        r.snum("shard", req.shard); // optional: balancer picks
-        break;
-      case RequestKind::SessionAdopt:
-        if (!r.str("data", req.data) || req.data.empty())
-            return fail(err, "session-adopt needs data=");
         break;
       case RequestKind::SessionHibernate:
       case RequestKind::SessionPersist:
@@ -785,8 +763,6 @@ encodeResponse(const Response &resp)
         w.num("sv.resurrections", resp.server.resurrections);
         w.num("sv.quarantined", resp.server.quarantined);
         w.num("sv.faults", resp.server.faultsInjected);
-        w.num("sv.migin", resp.server.migratedIn);
-        w.num("sv.migout", resp.server.migratedOut);
         // One key per latency family: hist.<name>=count:sum:b0,b1,...
         // (digits, ':' and ',' pass the escaper untouched; unknown
         // keys are ignored by older decoders).
@@ -823,8 +799,7 @@ encodeResponse(const Response &resp)
     }
     // One key per shard, same dotted-family scheme as hist./tool.:
     // shard.<index>=<pid>:<sessions>:<hibernated>:<jobs>:<uops>:
-    // <appInsts>:<queueWaitMeanUs>:<restarts>:<migratedIn>:
-    // <migratedOut>.
+    // <appInsts>:<queueWaitMeanUs>:<restarts>.
     for (const ShardStatsRow &sh : resp.shards) {
         std::string key = "shard." + std::to_string(sh.index);
         std::string val =
@@ -835,9 +810,7 @@ encodeResponse(const Response &resp)
             std::to_string(sh.totalUops) + ':' +
             std::to_string(sh.appInsts) + ':' +
             std::to_string(sh.queueWaitMeanUs) + ':' +
-            std::to_string(sh.restarts) + ':' +
-            std::to_string(sh.migratedIn) + ':' +
-            std::to_string(sh.migratedOut);
+            std::to_string(sh.restarts);
         w.str(key.c_str(), val);
     }
     return w.str();
@@ -924,8 +897,6 @@ decodeResponse(const std::string &line, Response &resp, std::string *err)
         r.num("sv.resurrections", resp.server.resurrections);
         r.num("sv.quarantined", resp.server.quarantined);
         r.num("sv.faults", resp.server.faultsInjected);
-        r.num("sv.migin", resp.server.migratedIn);
-        r.num("sv.migout", resp.server.migratedOut);
         bool histsOk = true;
         r.forEachWithPrefix(
             "hist.", [&](const std::string &key, const std::string &raw) {
@@ -1005,8 +976,7 @@ decodeResponse(const std::string &line, Response &resp, std::string *err)
             uint64_t *fields[] = {&sh.pid, &sh.sessions,
                                   &sh.hibernated, &sh.jobs,
                                   &sh.totalUops, &sh.appInsts,
-                                  &sh.queueWaitMeanUs, &sh.restarts,
-                                  &sh.migratedIn, &sh.migratedOut};
+                                  &sh.queueWaitMeanUs, &sh.restarts};
             constexpr size_t n = sizeof fields / sizeof fields[0];
             size_t pos = 0;
             for (size_t i = 0; i < n; ++i) {

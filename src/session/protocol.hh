@@ -89,15 +89,8 @@ enum class RequestKind : uint8_t {
     ToolList,    ///< registered tools, enabled ones marked
     ToolReport,  ///< tool findings/report text + state digest
 
-    // Sharded-server verbs. session-export / session-adopt are the
-    // supervisor↔worker migration halves (a worker serializes an idle
-    // session out of its table / adopts a wire-carried image,
-    // digest-verified); session-migrate and shard-stats are the
-    // client-facing verbs the supervisor itself answers.
-    SessionMigrate, ///< move session= to shard= (supervisor only)
-    ShardStats,     ///< per-shard load/session rows (supervisor only)
-    SessionExport,  ///< extract session= as a hex image (worker side)
-    SessionAdopt,   ///< adopt the hex image in data= (worker side)
+    // Sharded-server verb, answered by the shard supervisor itself.
+    ShardStats, ///< per-shard load/session rows (supervisor only)
 };
 
 const char *requestKindName(RequestKind kind);
@@ -126,11 +119,10 @@ struct Request
     uint64_t value = 0;  ///< WriteMemory / WriteRegister
     unsigned reg = 0;    ///< WriteRegister flat index (32 = pc)
     uint64_t session = 0;  ///< SessionSelect / SessionDestroy id
-    int64_t shard = -1;    ///< SessionMigrate / SessionCreate target
-                           ///< shard (-1 = let the balancer pick)
+    int64_t shard = -1;    ///< SessionCreate target shard
+                           ///< (-1 = least loaded)
     std::string name;      ///< SessionCreate: workload ("demo", ...);
                            ///< Tool*: tool name
-    std::string data;      ///< SessionAdopt: hex-encoded SessionImage
     /** ToolEnable configuration, wire-encoded cfg.<key>=<value>. */
     std::vector<std::pair<std::string, std::string>> toolConfig;
 
@@ -183,10 +175,6 @@ struct ServerStats
     uint64_t quarantined = 0;   ///< corrupt artifacts set aside
     uint64_t faultsInjected = 0; ///< injected-fault hits (chaos runs)
 
-    // Live-migration counters (sharded servers; 0 elsewhere).
-    uint64_t migratedIn = 0;  ///< sessions adopted from another shard
-    uint64_t migratedOut = 0; ///< sessions exported to another shard
-
     /** Latency distributions (src/obs/metrics.hh families). Encoded
      *  one per key: hist.<family>=<count>:<sum>:<b0>,<b1>,... */
     std::vector<HistogramSnapshot> hists;
@@ -210,8 +198,7 @@ struct StoreStats
 
 /** One worker shard's load row (ShardStats request). Encoded one per
  *  key: shard.<index>=<pid>:<sessions>:<hibernated>:<jobs>:<uops>:
- *  <appInsts>:<queueWaitMeanUs>:<restarts>:<migratedIn>:
- *  <migratedOut>. */
+ *  <appInsts>:<queueWaitMeanUs>:<restarts>. */
 struct ShardStatsRow
 {
     uint64_t index = 0;
@@ -223,8 +210,6 @@ struct ShardStatsRow
     uint64_t appInsts = 0;    ///< app insts retired on the shard, ever
     uint64_t queueWaitMeanUs = 0; ///< mean scheduler queue wait
     uint64_t restarts = 0;    ///< supervisor respawns after crashes
-    uint64_t migratedIn = 0;
-    uint64_t migratedOut = 0;
 
     bool
     operator==(const ShardStatsRow &o) const
@@ -234,8 +219,7 @@ struct ShardStatsRow
                jobs == o.jobs && totalUops == o.totalUops &&
                appInsts == o.appInsts &&
                queueWaitMeanUs == o.queueWaitMeanUs &&
-               restarts == o.restarts && migratedIn == o.migratedIn &&
-               migratedOut == o.migratedOut;
+               restarts == o.restarts;
     }
 };
 

@@ -98,8 +98,9 @@ TEST(RspPacket, RunLengthEncodeRoundTrip)
         ASSERT_TRUE(decodeFrame(frameRaw(encoded), payload))
             << "len=" << len << " encoded='" << encoded << "'";
         EXPECT_EQ(payload, raw) << "len=" << len;
-        if (len >= 4)
+        if (len >= 4) {
             EXPECT_LT(encoded.size(), raw.size()) << "len=" << len;
+        }
     }
 
     // Mixed content round-trips through the full framer with RLE on.

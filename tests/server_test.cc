@@ -408,7 +408,7 @@ TEST(ServerConcurrency, DistinctSessionsCrossCheckedInParallel)
         StopInfo refHit1, refHit2, refBack;
     };
     std::vector<Scenario> scenarios;
-    for (const std::string &w : {"demo", "mcf", "bzip2", "twolf"}) {
+    for (std::string w : {"demo", "mcf", "bzip2", "twolf"}) {
         Scenario sc;
         sc.workload = w;
         Program prog;
@@ -775,8 +775,9 @@ TEST(DebugServerTcp, SubscribePushesEventsWithoutPolling)
     uint64_t lastSeq = 0;
     bool first = true;
     for (const SessionEvent &ev : events) {
-        if (!first)
+        if (!first) {
             EXPECT_GT(ev.seq, lastSeq); // queue order preserved
+        }
         first = false;
         lastSeq = ev.seq;
         sawAttach |= ev.kind == SessionEventKind::Attached;

@@ -83,8 +83,9 @@ TEST(SessionProtocol, RequestRoundTripsEveryKind)
         ASSERT_TRUE(decodeRequest(encodeRequest(req), back))
             << requestKindName(kind);
         EXPECT_EQ(back.kind, kind);
-        if (kind == RequestKind::SelectBackend)
+        if (kind == RequestKind::SelectBackend) {
             EXPECT_EQ(back.backend, BackendKind::Rewrite);
+        }
     }
 }
 

@@ -1,10 +1,9 @@
 /**
  * @file
- * Shard supervisor tests: session routing across forked worker
- * processes, fleet verb merging, disjoint id minting, live migration
- * with digest parity on every backend, crash respawn with store
- * recovery, queue-wait balancing, and migration under injected faults
- * (old-or-new, never corrupt).
+ * Shard supervisor tests: residue routing across forked worker
+ * processes, fleet verb merging, disjoint id minting, crash respawn
+ * with store recovery, and a store written by a fleet of another
+ * size.
  *
  * These tests fork real worker processes; the suite is deliberately
  * excluded from the TSan build (fork-without-exec from a threaded
@@ -18,10 +17,8 @@
 #include <filesystem>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "persist/fault_injector.hh"
 #include "server/server.hh"
 #include "server/supervisor.hh"
 #include "server/wire_client.hh"
@@ -121,8 +118,8 @@ select(WireClient &wire, uint64_t id)
     return call(wire, req);
 }
 
-/** The migration digest probe: session-persist answers the state
- *  digest of the image it just wrote. */
+/** The state digest probe: session-persist answers the digest of the
+ *  image it just wrote. */
 uint64_t
 persistDigest(WireClient &wire)
 {
@@ -195,193 +192,18 @@ TEST(ShardSupervisor, RoutesSessionsAcrossShardsAndMergesFleetVerbs)
         ASSERT_TRUE(resp.ok()) << resp.error;
         EXPECT_GE(resp.stats.appInsts, 64u);
     }
-    sup.stop();
-}
 
-// ------------------------------------------------------- migration
-
-class ShardMigration : public ::testing::TestWithParam<BackendKind>
-{
-};
-
-TEST_P(ShardMigration, LiveMigrationIsDigestVerifiedBitIdentical)
-{
-    BackendKind backend = GetParam();
-    std::string dir = storeScratch(backendToken(backend));
-    ShardSupervisor sup(fleetOptions(2, dir));
-    ASSERT_TRUE(sup.start());
-
-    WireClient wire;
-    ASSERT_TRUE(wire.connectTo(sup.port()));
-
-    // Pin the session to shard 0 so the migration edge is forced.
-    uint64_t id = createOn(wire, /*shard=*/0, backend);
-    EXPECT_EQ(id % 2, 1u); // shard 0 mints the odd lattice
-
-    Response resp = stepi(wire, 700);
-    ASSERT_TRUE(resp.ok()) << resp.error;
+    // An id no shard holds routes by residue like any other and gets
+    // that shard's "no such session"; the selection stays put.
+    for (uint64_t missing : {uint64_t{999}, uint64_t{1000}}) {
+        resp = select(wire, missing);
+        EXPECT_FALSE(resp.ok());
+        EXPECT_NE(resp.error.find("no such session"), std::string::npos)
+            << resp.error;
+    }
     resp = call(wire, mk(RequestKind::Stats));
-    ASSERT_TRUE(resp.ok()) << resp.error;
-    uint64_t posInsts = resp.stats.appInsts;
-    uint64_t digest = persistDigest(wire);
-    EXPECT_NE(digest, 0u);
-
-    // Drop our selection: a connection-held session counts busy and
-    // refuses to migrate out from under its client.
-    ASSERT_TRUE(select(wire, 0).ok());
-
-    Request mig = mk(RequestKind::SessionMigrate);
-    mig.session = id;
-    mig.shard = 1;
-    resp = call(wire, mig);
-    ASSERT_TRUE(resp.ok()) << resp.error;
-    EXPECT_EQ(resp.value, id);
-    EXPECT_EQ(resp.index, 1); // now hosted by shard 1
-    EXPECT_EQ(sup.migrations(), 1u);
-
-    // Reselect through the supervisor: routed to shard 1; position
-    // and state digest bit-identical after the adopt replay.
-    resp = select(wire, id);
-    ASSERT_TRUE(resp.ok()) << resp.error;
-    resp = call(wire, mk(RequestKind::Stats));
-    ASSERT_TRUE(resp.ok()) << resp.error;
-    EXPECT_EQ(resp.stats.appInsts, posInsts);
-    EXPECT_EQ(persistDigest(wire), digest)
-        << "migration changed session state";
-
-    // The migrated session still executes.
-    resp = stepi(wire, 64);
     EXPECT_TRUE(resp.ok()) << resp.error;
-
-    // Per-shard migration ledger.
-    resp = call(wire, mk(RequestKind::ShardStats));
-    ASSERT_TRUE(resp.ok()) << resp.error;
-    ASSERT_EQ(resp.shards.size(), 2u);
-    EXPECT_EQ(resp.shards[0].migratedOut, 1u);
-    EXPECT_EQ(resp.shards[1].migratedIn, 1u);
-
     sup.stop();
-    scrub(dir);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, ShardMigration,
-    ::testing::Values(BackendKind::Dise, BackendKind::SingleStep,
-                      BackendKind::VirtualMemory,
-                      BackendKind::HardwareReg, BackendKind::Rewrite),
-    [](const ::testing::TestParamInfo<BackendKind> &info) {
-        std::string n = backendToken(info.param);
-        for (char &c : n)
-            if (c == '-')
-                c = '_';
-        return n;
-    });
-
-// ---------------------------------------------------------- chaos
-
-TEST(ShardSupervisor, MigrationUnderChaosIsOldOrNewNeverCorrupt)
-{
-    persist::FaultInjector inj;
-    std::string dir = storeScratch("chaos");
-    ShardSupervisorOptions o = fleetOptions(2, dir);
-    o.faults = &inj;
-    ShardSupervisor sup(o);
-    ASSERT_TRUE(sup.start());
-
-    WireClient wire;
-    ASSERT_TRUE(wire.connectTo(sup.port()));
-
-    uint64_t id = createOn(wire, /*shard=*/0);
-    ASSERT_TRUE(stepi(wire, 600).ok());
-    uint64_t digest = persistDigest(wire);
-    ASSERT_TRUE(select(wire, 0).ok());
-
-    Request mig = mk(RequestKind::SessionMigrate);
-    mig.session = id;
-    mig.shard = 1;
-
-    auto verifyIntact = [&](uint64_t expectOut, uint64_t expectIn) {
-        Response r = select(wire, id);
-        ASSERT_TRUE(r.ok()) << r.error;
-        EXPECT_EQ(persistDigest(wire), digest)
-            << "chaos corrupted the session";
-        ASSERT_TRUE(select(wire, 0).ok());
-        r = call(wire, mk(RequestKind::ShardStats));
-        ASSERT_TRUE(r.ok()) << r.error;
-        ASSERT_EQ(r.shards.size(), 2u);
-        EXPECT_EQ(r.shards[0].migratedOut, expectOut);
-        EXPECT_EQ(r.shards[0].migratedIn, expectIn);
-    };
-
-    // Fault before the export: the session never leaves shard 0.
-    inj.armNth(persist::FaultInjector::Site::MigrateExport, 1);
-    Response resp = call(wire, mig);
-    ASSERT_FALSE(resp.ok());
-    EXPECT_NE(resp.error.find("migrate-export"), std::string::npos)
-        << resp.error;
-    verifyIntact(/*out=*/0, /*in=*/0);
-
-    // Fault after the export: the supervisor re-adopts the image back
-    // onto the source — old incarnation, bit-identical, and the shard
-    // ledger shows the round trip (out once, back in once).
-    inj.armNth(persist::FaultInjector::Site::MigrateAdopt, 1);
-    resp = call(wire, mig);
-    ASSERT_FALSE(resp.ok());
-    EXPECT_NE(resp.error.find("migrate-adopt"), std::string::npos)
-        << resp.error;
-    EXPECT_NE(resp.error.find("restored"), std::string::npos)
-        << resp.error;
-    verifyIntact(/*out=*/1, /*in=*/1);
-
-    // Faults disarmed: the same migration goes through clean.
-    resp = call(wire, mig);
-    ASSERT_TRUE(resp.ok()) << resp.error;
-    ASSERT_TRUE(select(wire, id).ok());
-    EXPECT_EQ(persistDigest(wire), digest);
-    EXPECT_GE(inj.injected(), 2u);
-
-    sup.stop();
-    scrub(dir);
-}
-
-// ----------------------------------------------- busy-session refusal
-
-TEST(ShardSupervisor, MigrationRefusesConnectionBoundSessions)
-{
-    std::string dir = storeScratch("busy");
-    ShardSupervisor sup(fleetOptions(2, dir));
-    ASSERT_TRUE(sup.start());
-
-    WireClient wire;
-    ASSERT_TRUE(wire.connectTo(sup.port()));
-    uint64_t id = createOn(wire, /*shard=*/0);
-    ASSERT_TRUE(stepi(wire, 128).ok());
-
-    // The creating connection still holds the selection: the export
-    // must refuse rather than rip the session out from under it.
-    Request mig = mk(RequestKind::SessionMigrate);
-    mig.session = id;
-    mig.shard = 1;
-    Response resp = call(wire, mig);
-    EXPECT_FALSE(resp.ok());
-    EXPECT_FALSE(resp.error.empty());
-    EXPECT_EQ(sup.migrations(), 0u);
-
-    // Still alive and still on shard 0.
-    resp = call(wire, mk(RequestKind::Stats));
-    ASSERT_TRUE(resp.ok()) << resp.error;
-    EXPECT_GE(resp.stats.appInsts, 128u);
-    resp = call(wire, mk(RequestKind::ShardStats));
-    ASSERT_TRUE(resp.ok()) << resp.error;
-    EXPECT_EQ(resp.shards[0].migratedOut, 0u);
-
-    // Deselect and the same migration proceeds.
-    ASSERT_TRUE(select(wire, 0).ok());
-    resp = call(wire, mig);
-    EXPECT_TRUE(resp.ok()) << resp.error;
-
-    sup.stop();
-    scrub(dir);
 }
 
 // --------------------------------------------------- crash recovery
@@ -431,154 +253,51 @@ TEST(ShardSupervisor, CrashedShardRespawnsAndRecoversItsStoreSlice)
     scrub(dir);
 }
 
-// ------------------------------------------------------- balancing
+// ------------------------------------------------ fleet size change
 
-TEST(ShardSupervisor, BalancerMigratesOffTheBackloggedShard)
+TEST(ShardSupervisor, StoreFromAnotherFleetSizeIsRefusedAtStart)
 {
-    // Deterministic setup: pile sessions and contended work onto
-    // shard 0 (two clients share its single execution slot, so every
-    // requeued slice waits in line and the queue-wait histogram fills
-    // with real samples), leave shard 1 idle, then one manual balance
-    // pass with a zero noise floor must move a session across.
-    std::string dir = storeScratch("balance");
-    ShardSupervisorOptions o = fleetOptions(2, dir);
-    o.balanceMinQueueWaitUs = 0;
-    o.balanceRatio = 1.0;
-    ShardSupervisor sup(o);
+    // Write the store with two shards: shard 0 holds ids 1 and 3,
+    // shard 1 holds ids 2 and 4.
+    std::string dir = storeScratch("resize");
+    std::vector<uint64_t> ids;
+    std::vector<uint64_t> digests;
+    {
+        ShardSupervisor sup(fleetOptions(2, dir));
+        ASSERT_TRUE(sup.start());
+        WireClient wire;
+        ASSERT_TRUE(wire.connectTo(sup.port()));
+        for (int shard : {0, 0, 1, 1}) {
+            ids.push_back(createOn(wire, shard));
+            ASSERT_TRUE(stepi(wire, 200).ok());
+            digests.push_back(persistDigest(wire));
+        }
+        sup.stop();
+    }
+
+    // Three shards would route id 3 to shard 2, which does not hold
+    // it: start() fails with a typed error instead of stranding it.
+    {
+        ShardSupervisor sup(fleetOptions(3, dir));
+        std::string err;
+        EXPECT_FALSE(sup.start(&err));
+        EXPECT_NE(err.find("fleet of another size"), std::string::npos)
+            << err;
+        EXPECT_NE(err.find("session 3"), std::string::npos) << err;
+    }
+
+    // The refused start left the store intact: the original fleet
+    // size reaches every recovered session, bit-identically.
+    ShardSupervisor sup(fleetOptions(2, dir));
     ASSERT_TRUE(sup.start());
-
-    WireClient a, b;
-    ASSERT_TRUE(a.connectTo(sup.port()));
-    ASSERT_TRUE(b.connectTo(sup.port()));
-    uint64_t idA = createOn(a, /*shard=*/0);
-    uint64_t idB = createOn(b, /*shard=*/0);
-    ASSERT_NE(idA, idB);
-
-    std::thread driveA([&] { stepi(a, 20000); });
-    stepi(b, 20000);
-    driveA.join();
-
-    ASSERT_TRUE(select(a, 0).ok());
-    ASSERT_TRUE(select(b, 0).ok());
-
-    std::string err;
-    EXPECT_TRUE(sup.balanceOnce(&err)) << err;
-    EXPECT_GE(sup.migrations(), 1u);
-
-    Response resp = call(a, mk(RequestKind::ShardStats));
-    ASSERT_TRUE(resp.ok()) << resp.error;
-    ASSERT_EQ(resp.shards.size(), 2u);
-    EXPECT_GE(resp.shards[1].sessions + resp.shards[1].hibernated, 1u);
-
+    WireClient wire;
+    ASSERT_TRUE(wire.connectTo(sup.port()));
+    for (size_t i = 0; i < ids.size(); ++i) {
+        Response resp = select(wire, ids[i]);
+        ASSERT_TRUE(resp.ok()) << resp.error;
+        EXPECT_EQ(persistDigest(wire), digests[i]);
+    }
     sup.stop();
-    scrub(dir);
-}
-
-// ------------------------------------- in-process export/adopt cycle
-
-TEST(ServerExportAdopt, WireExportAdoptRoundTripWithinOneServer)
-{
-    // The migration halves are plain wire verbs; they compose even
-    // without a supervisor. Export rips the session out (digest in
-    // value, image hex in text); adopt rebuilds it digest-verified.
-    std::string dir = storeScratch("inproc");
-    server::DebugServerOptions opts;
-    opts.maxSessions = 4;
-    opts.slots = 1;
-    opts.sliceInsts = 2000;
-    opts.session = smallSessions();
-    opts.storeDir = dir;
-    server::DebugServer srv(opts);
-    ASSERT_TRUE(srv.start());
-
-    WireClient wire;
-    ASSERT_TRUE(wire.connectTo(srv.port()));
-    uint64_t id = createOn(wire, /*shard=*/-1);
-    ASSERT_TRUE(stepi(wire, 600).ok());
-    uint64_t digest = persistDigest(wire);
-
-    // Export answers the digest and removes the session...
-    Request ex = mk(RequestKind::SessionExport);
-    ex.session = id;
-    Response resp = call(wire, ex);
-    ASSERT_TRUE(resp.ok()) << resp.error;
-    EXPECT_EQ(resp.value, digest);
-    std::string image = resp.text;
-    EXPECT_FALSE(image.empty());
-    Response gone = select(wire, id);
-    EXPECT_FALSE(gone.ok());
-
-    // ...and adopt brings back the identical session.
-    Request ad = mk(RequestKind::SessionAdopt);
-    ad.data = image;
-    resp = call(wire, ad);
-    ASSERT_TRUE(resp.ok()) << resp.error;
-    EXPECT_EQ(resp.value, id);
-    ASSERT_TRUE(select(wire, id).ok());
-    EXPECT_EQ(persistDigest(wire), digest);
-
-    // Garbage images are rejected cleanly.
-    ad.data = "zz-not-hex";
-    resp = call(wire, ad);
-    EXPECT_FALSE(resp.ok());
-
-    srv.stop();
-    scrub(dir);
-}
-
-TEST(ServerExportAdopt, WorkerFaultSitesInjectOnExportAndAdopt)
-{
-    // The worker-side handlers consult the server's own injector —
-    // the in-process flavor of migration chaos.
-    persist::FaultInjector inj;
-    std::string dir = storeScratch("inprocchaos");
-    server::DebugServerOptions opts;
-    opts.maxSessions = 4;
-    opts.slots = 1;
-    opts.session = smallSessions();
-    opts.storeDir = dir;
-    opts.faults = &inj;
-    server::DebugServer srv(opts);
-    ASSERT_TRUE(srv.start());
-
-    WireClient wire;
-    ASSERT_TRUE(wire.connectTo(srv.port()));
-    uint64_t id = createOn(wire, /*shard=*/-1);
-    ASSERT_TRUE(stepi(wire, 300).ok());
-    uint64_t digest = persistDigest(wire);
-
-    inj.armNth(persist::FaultInjector::Site::MigrateExport, 1);
-    Request ex = mk(RequestKind::SessionExport);
-    ex.session = id;
-    Response resp = call(wire, ex);
-    ASSERT_FALSE(resp.ok());
-    EXPECT_NE(resp.error.find("migrate-export"), std::string::npos);
-    // Session untouched by the refused export.
-    ASSERT_TRUE(select(wire, id).ok());
-    EXPECT_EQ(persistDigest(wire), digest);
-    ASSERT_TRUE(select(wire, 0).ok());
-
-    // Clean export, then a faulted adopt: the image is simply not
-    // admitted (the supervisor layer is what restores; the worker
-    // verb alone reports the failure honestly).
-    resp = call(wire, ex);
-    ASSERT_TRUE(resp.ok()) << resp.error;
-    std::string image = resp.text;
-    inj.armNth(persist::FaultInjector::Site::MigrateAdopt, 1);
-    Request ad = mk(RequestKind::SessionAdopt);
-    ad.data = image;
-    resp = call(wire, ad);
-    ASSERT_FALSE(resp.ok());
-    EXPECT_NE(resp.error.find("migrate-adopt"), std::string::npos);
-
-    // Disarmed retry adopts the very same image bit-identically.
-    resp = call(wire, ad);
-    ASSERT_TRUE(resp.ok()) << resp.error;
-    ASSERT_TRUE(select(wire, id).ok());
-    EXPECT_EQ(persistDigest(wire), digest);
-    EXPECT_EQ(inj.injected(), 2u);
-
-    srv.stop();
     scrub(dir);
 }
 

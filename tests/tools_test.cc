@@ -80,9 +80,11 @@ TEST(ToolDemo, AllFiveToolsFindTheirSeededBugs)
 
     // The oob finding names the seeded store.
     Program demo = buildToolDemo();
-    for (const tools::ToolFinding &f : fs)
-        if (f.tool == "asan" && f.kind == "heap-oob")
+    for (const tools::ToolFinding &f : fs) {
+        if (f.tool == "asan" && f.kind == "heap-oob") {
             EXPECT_EQ(f.pc, demo.symbol("oob_store"));
+        }
+    }
 
     // Coverage saw the loops; memtrace's suppression actually elided
     // redundant same-granule work from the hammer loop.

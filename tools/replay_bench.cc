@@ -24,6 +24,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -66,11 +67,17 @@ main(int argc, char **argv)
     BackendKind backend = BackendKind::Dise;
     uint64_t cpInterval = 2048;
 
+    // A bad flag is a usage error: one line and exit status 2, not the
+    // abort an uncaught FatalError would be.
+    auto usageError = [](const std::string &msg) {
+        std::fprintf(stderr, "%s (try --help)\n", msg.c_str());
+        std::exit(2);
+    };
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         auto next = [&]() -> const char * {
             if (i + 1 >= argc)
-                fatal("missing value for ", arg);
+                usageError("missing value for " + arg);
             return argv[++i];
         };
         if (arg == "--quick")
@@ -83,9 +90,21 @@ main(int argc, char **argv)
             cpInterval = static_cast<uint64_t>(std::atoll(next()));
         else if (arg == "--backend") {
             if (!parseBackendToken(next(), backend))
-                fatal("unknown backend");
+                usageError("unknown backend");
+        } else if (arg == "--help" || arg == "-h") {
+            std::printf(
+                "usage: replay_bench [options]\n"
+                "  --quick                  small work items (CI smoke)\n"
+                "  --out FILE               JSON output "
+                "(default BENCH_replay.json)\n"
+                "  --workload NAME          workload (default mcf)\n"
+                "  --backend NAME           dise | single-step | vm | "
+                "hwreg | rewrite\n"
+                "  --checkpoint-interval N  time-travel checkpoint "
+                "interval (default 2048)\n");
+            return 0;
         } else {
-            fatal("unknown option '", arg, "'");
+            usageError("unknown option '" + arg + "'");
         }
     }
 

@@ -72,7 +72,6 @@ main(int argc, char **argv)
     std::string traceOut;
     uint64_t traceBufferKb = 0;
     unsigned shards = 0;
-    unsigned balanceMs = 0;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -101,8 +100,6 @@ main(int argc, char **argv)
             opts.storeDir = next();
         } else if (arg == "--shards") {
             shards = static_cast<unsigned>(std::atoi(next()));
-        } else if (arg == "--balance-ms") {
-            balanceMs = static_cast<unsigned>(std::atoi(next()));
         } else if (arg == "--trace-out") {
             traceOut = next();
         } else if (arg == "--trace-buffer-kb") {
@@ -148,10 +145,8 @@ main(int argc, char **argv)
                 "                    LRU hibernation at the cap\n"
                 "  --shards N        fork N worker shard processes "
                 "behind the port\n"
-                "                    (live migration, crash respawn; "
-                "0 = single process)\n"
-                "  --balance-ms N    shard load balancer period "
-                "(default: off)\n"
+                "                    (crash respawn; 0 = single "
+                "process)\n"
                 "  --trace-out FILE  arm the flight recorder now; "
                 "write Chrome trace\n"
                 "                    JSON (Perfetto) on SIGINT/SIGTERM\n"
@@ -192,11 +187,12 @@ main(int argc, char **argv)
         sup.shards = shards;
         sup.worker = opts;
         sup.verbose = opts.verbose;
-        sup.balanceIntervalMs = balanceMs;
         server::ShardSupervisor fleet(sup);
-        if (!fleet.start()) {
+        std::string err;
+        if (!fleet.start(&err)) {
             std::fprintf(stderr, "cannot start %u-shard fleet on "
-                         "127.0.0.1:%u\n", shards, opts.port);
+                         "127.0.0.1:%u: %s\n", shards, opts.port,
+                         err.c_str());
             return 1;
         }
         std::printf(
@@ -204,9 +200,7 @@ main(int argc, char **argv)
             "(pids", fleet.port(), fleet.shardCount());
         for (unsigned k = 0; k < fleet.shardCount(); ++k)
             std::printf(" %d", static_cast<int>(fleet.shardPid(k)));
-        std::printf(")\n"
-                    "  session-migrate session=<id> shard=<k> moves a "
-                    "live session between workers\n");
+        std::printf(")\n");
         if (::pipe(shutdownPipe) != 0)
             fatal("cannot create shutdown pipe");
         struct sigaction sa;

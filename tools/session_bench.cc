@@ -312,11 +312,17 @@ main(int argc, char **argv)
     unsigned slots = 0;    // hardware concurrency
     unsigned maxProcs = 4; // shard-mode sweep cap (0 = skip)
 
+    // A bad flag is a usage error: one line and exit status 2, not the
+    // abort an uncaught FatalError would be.
+    auto usageError = [](const std::string &msg) {
+        std::fprintf(stderr, "%s (try --help)\n", msg.c_str());
+        std::exit(2);
+    };
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         auto next = [&]() -> const char * {
             if (i + 1 >= argc)
-                fatal("missing value for ", arg);
+                usageError("missing value for " + arg);
             return argv[++i];
         };
         if (arg == "--quick")
@@ -331,9 +337,22 @@ main(int argc, char **argv)
             maxProcs = static_cast<unsigned>(std::atoi(next()));
         else if (arg == "--backend") {
             if (!parseBackendToken(next(), backend))
-                fatal("unknown backend");
+                usageError("unknown backend");
+        } else if (arg == "--help" || arg == "-h") {
+            std::printf(
+                "usage: session_bench [options]\n"
+                "  --quick           small work items (CI smoke)\n"
+                "  --out FILE        JSON output "
+                "(default BENCH_sessions.json)\n"
+                "  --workload NAME   workload (default mcf)\n"
+                "  --backend NAME    dise | single-step | vm | hwreg | "
+                "rewrite\n"
+                "  --workers N       scheduler slots (default: hardware)\n"
+                "  --procs N         shard-process sweep cap, 0 = skip "
+                "(default 4)\n");
+            return 0;
         } else {
-            fatal("unknown option '", arg, "'");
+            usageError("unknown option '" + arg + "'");
         }
     }
 
