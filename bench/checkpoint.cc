@@ -183,7 +183,7 @@ parseArgs(int argc, char **argv)
         std::string arg = argv[i];
         auto next = [&]() -> const char * {
             if (i + 1 >= argc)
-                fatal("missing value for ", arg);
+                usageError("missing value for ", arg);
             return argv[++i];
         };
         if (arg == "--quick") {
@@ -191,13 +191,13 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--out") {
             opts.out = next();
         } else if (arg == "--help" || arg == "-h") {
-            std::printf("options:\n"
+            std::printf("usage: bench_checkpoint [options]\n"
                         "  --quick     smaller sweeps (CI)\n"
                         "  --out FILE  JSON output path "
                         "(default BENCH_checkpoint.json)\n");
             std::exit(0);
         } else {
-            fatal("unknown option '", arg, "' (try --help)");
+            usageError("unknown option '", arg, "'");
         }
     }
     return opts;

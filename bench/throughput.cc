@@ -1,8 +1,7 @@
 /**
  * @file
- * Simulator-throughput benchmark: simulated MIPS of the functional
- * hot path (fetch -> decode -> DISE match -> execute) across the
- * Figure 3/4 workloads under three instrumentation configurations:
+ * Simulator-throughput benchmark: host speed of the simulator across
+ * the Figure 3/4 workloads under three instrumentation configurations:
  *
  *   off     - empty pattern table (undebugged baseline)
  *   uncond  - every store expanded with an unconditional watchpoint
@@ -10,17 +9,13 @@
  *   cond    - every store expanded with a conditional (value-predicate)
  *             watchpoint check (Figure 4 methodology)
  *
- * Each cell is measured twice: with the optimized hot path (predecoded
- * µop cache, indexed production matching, memoized expansions) and
- * with the legacy fallback (per-fetch memory read + decode, linear
- * 32-slot pattern scan, per-trigger expansion instantiation), giving
- * the host-side speedup every future PR is measured against. Results
- * are emitted as BENCH_throughput.json.
- *
- * A second, cycle-level section measures the timing model's simulated
- * MIPS with the ROB scan cursors (TimingConfig::robCursors) on vs the
- * legacy per-cycle linear window walks — the remaining hot-path
- * candidate named in ROADMAP.md.
+ * The functional section runs each cell twice through the interpreter
+ * (predecoded µop cache, indexed production matching, memoized
+ * expansions): once with the trace JIT and once without. Both legs must
+ * retire identical counts; the µop-MIPS ratio is the JIT speedup. The
+ * cycle-level section runs the timing model once per cell and reports
+ * its simulated MIPS and cycle count. Results, with the host's CPU
+ * model and core count, are emitted as BENCH_throughput.json.
  */
 
 #include <chrono>
@@ -28,6 +23,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.hh"
@@ -58,9 +54,6 @@ configName(Config c)
 struct Options
 {
     bool quick = false;
-    bool noUcache = false;
-    bool noIndex = false;
-    bool noMemo = false;
     unsigned reps = 2;
     uint64_t maxAppInsts = 0; ///< 0 = run workloads to completion
     uint64_t timingInsts = 300000; ///< app-inst cap for timing cells
@@ -72,7 +65,7 @@ struct Measurement
 {
     std::string workload;
     Config config = Config::Off;
-    bool optimized = true;
+    bool jit = true;
     uint64_t appInsts = 0;
     uint64_t microOps = 0;
     double seconds = 0.0;
@@ -132,11 +125,10 @@ storeCheckProduction(bool conditional)
     return p;
 }
 
-Measurement
-measureOnce(const Workload &w, Config config, bool optimized,
-            const Options &opts)
+/** Install @p config's store check on @p target, then load it. */
+void
+instrument(DebugTarget &target, const Workload &w, Config config)
 {
-    DebugTarget target(w.program);
     if (config != Config::Off) {
         target.engine.addProduction(
             storeCheckProduction(config == Config::Cond));
@@ -145,44 +137,16 @@ measureOnce(const Workload &w, Config config, bool optimized,
         target.arch.writeDise(4, 0xdeadbeefcafeull);
     }
     target.load();
-
-    // The fallback leg reproduces the pre-overhaul hot path: per-fetch
-    // memory read + decode, linear pattern scan, per-trigger expansion
-    // instantiation, and uncached page lookups.
-    bool ucache = optimized && !opts.noUcache;
-    target.engine.setIndexedMatch(optimized && !opts.noIndex);
-    target.engine.setExpansionMemo(optimized && !opts.noMemo);
-
-    StreamEnv env;
-    env.sink = &target.sink;
-    env.uopCache = ucache;
-    FuncCpu cpu(target.arch, target.mem, &target.engine, env);
-
-    auto t0 = std::chrono::steady_clock::now();
-    FuncResult r = cpu.run(opts.maxAppInsts);
-    auto t1 = std::chrono::steady_clock::now();
-    if (r.halt == HaltReason::Fault)
-        fatal("throughput run of '", w.name, "' faulted: ",
-              r.faultMessage);
-
-    Measurement m;
-    m.workload = w.name;
-    m.config = config;
-    m.optimized = optimized;
-    m.appInsts = r.appInsts;
-    m.microOps = r.microOps;
-    m.seconds = std::chrono::duration<double>(t1 - t0).count();
-    return m;
 }
 
-Measurement
-measure(const Workload &w, Config config, bool optimized,
-        const Options &opts)
+/** Best of N by MIPS: the container's wall clock is noisy. */
+template <typename M, typename Fn>
+M
+bestOf(unsigned reps, Fn run)
 {
-    // Best of N: the container's wall clock is noisy.
-    Measurement best;
-    for (unsigned i = 0; i < opts.reps; ++i) {
-        Measurement m = measureOnce(w, config, optimized, opts);
+    M best;
+    for (unsigned i = 0; i < reps; ++i) {
+        M m = run();
         if (i == 0 || m.mips() > best.mips())
             best = m;
     }
@@ -190,27 +154,19 @@ measure(const Workload &w, Config config, bool optimized,
 }
 
 /**
- * One trace-JIT run: the fully-optimized interpreter with the target's
- * trace cache wired in (or not), same workload and instrumentation.
- * The jit-off leg leaves env.jit null, so it pays zero cache overhead —
- * it is exactly the interpreter the `runs` section measures.
+ * One functional run: the interpreter with the target's trace cache
+ * wired in (or not), same workload and instrumentation. The jit-off leg
+ * leaves env.jit null, so it pays zero cache overhead.
  */
 Measurement
-measureJitOnce(const Workload &w, Config config, bool jitOn,
+measureFunctional(const Workload &w, Config config, bool jitOn,
                const Options &opts)
 {
     DebugTarget target(w.program);
-    if (config != Config::Off) {
-        target.engine.addProduction(
-            storeCheckProduction(config == Config::Cond));
-        target.arch.writeDise(3, w.hotAddr);
-        target.arch.writeDise(4, 0xdeadbeefcafeull);
-    }
-    target.load();
+    instrument(target, w, config);
 
     StreamEnv env;
     env.sink = &target.sink;
-    env.uopCache = true;
     if (jitOn)
         env.jit = target.jit();
     FuncCpu cpu(target.arch, target.mem, &target.engine, env);
@@ -225,24 +181,11 @@ measureJitOnce(const Workload &w, Config config, bool jitOn,
     Measurement m;
     m.workload = w.name;
     m.config = config;
-    m.optimized = jitOn;
+    m.jit = jitOn;
     m.appInsts = r.appInsts;
     m.microOps = r.microOps;
     m.seconds = std::chrono::duration<double>(t1 - t0).count();
     return m;
-}
-
-Measurement
-measureJit(const Workload &w, Config config, bool jitOn,
-           const Options &opts)
-{
-    Measurement best;
-    for (unsigned i = 0; i < opts.reps; ++i) {
-        Measurement m = measureJitOnce(w, config, jitOn, opts);
-        if (i == 0 || m.mips() > best.mips())
-            best = m;
-    }
-    return best;
 }
 
 /** One cycle-level run: simulated MIPS of the timing model itself. */
@@ -250,8 +193,6 @@ struct TimingMeasurement
 {
     std::string workload;
     Config config = Config::Off;
-    bool cursors = true;
-    bool opRefs = true;
     uint64_t appInsts = 0;
     uint64_t cycles = 0;
     double seconds = 0.0;
@@ -260,24 +201,14 @@ struct TimingMeasurement
 };
 
 TimingMeasurement
-measureTimingOnce(const Workload &w, Config config, bool cursors,
-                  bool opRefs, const Options &opts)
+measureTiming(const Workload &w, Config config, const Options &opts)
 {
     DebugTarget target(w.program);
-    if (config != Config::Off) {
-        target.engine.addProduction(
-            storeCheckProduction(config == Config::Cond));
-        target.arch.writeDise(3, w.hotAddr);
-        target.arch.writeDise(4, 0xdeadbeefcafeull);
-    }
-    target.load();
+    instrument(target, w, config);
 
     StreamEnv env;
     env.sink = &target.sink;
-    TimingConfig cfg;
-    cfg.robCursors = cursors;
-    cfg.opRefs = opRefs;
-    TimingCpu cpu(target.arch, target.mem, &target.engine, env, cfg);
+    TimingCpu cpu(target.arch, target.mem, &target.engine, env);
     RunLimits lim;
     lim.maxAppInsts = opts.timingInsts;
 
@@ -291,26 +222,23 @@ measureTimingOnce(const Workload &w, Config config, bool cursors,
     TimingMeasurement m;
     m.workload = w.name;
     m.config = config;
-    m.cursors = cursors;
-    m.opRefs = opRefs;
     m.appInsts = r.appInsts;
     m.cycles = r.cycles;
     m.seconds = std::chrono::duration<double>(t1 - t0).count();
     return m;
 }
 
-TimingMeasurement
-measureTiming(const Workload &w, Config config, bool cursors,
-              bool opRefs, const Options &opts)
+/** Host CPU model from /proc/cpuinfo ("unknown" elsewhere). */
+std::string
+cpuModel()
 {
-    TimingMeasurement best;
-    for (unsigned i = 0; i < opts.reps; ++i) {
-        TimingMeasurement m =
-            measureTimingOnce(w, config, cursors, opRefs, opts);
-        if (i == 0 || m.mips() > best.mips())
-            best = m;
+    std::ifstream f("/proc/cpuinfo");
+    for (std::string line; std::getline(f, line);) {
+        size_t c = line.find(':');
+        if (line.rfind("model name", 0) == 0 && c != std::string::npos)
+            return line.substr(c + 2);
     }
-    return best;
+    return "unknown";
 }
 
 Options
@@ -321,7 +249,7 @@ parseArgs(int argc, char **argv)
         std::string arg = argv[i];
         auto next = [&]() -> const char * {
             if (i + 1 >= argc)
-                fatal("missing value for ", arg);
+                usageError("missing value for " + arg);
             return argv[++i];
         };
         if (arg == "--quick") {
@@ -333,12 +261,6 @@ parseArgs(int argc, char **argv)
             opts.noTiming = true;
         } else if (arg == "--timing-insts") {
             opts.timingInsts = static_cast<uint64_t>(std::atoll(next()));
-        } else if (arg == "--no-ucache") {
-            opts.noUcache = true;
-        } else if (arg == "--no-index") {
-            opts.noIndex = true;
-        } else if (arg == "--no-memo") {
-            opts.noMemo = true;
         } else if (arg == "--reps") {
             opts.reps = static_cast<unsigned>(std::atoi(next()));
         } else if (arg == "--insts") {
@@ -347,20 +269,17 @@ parseArgs(int argc, char **argv)
             opts.out = next();
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
-                "options:\n"
+                "usage: bench_throughput [options]\n"
                 "  --quick       one workload, capped instructions (CI)\n"
-                "  --no-ucache   disable the predecoded µop cache\n"
-                "  --no-index    disable indexed production matching\n"
-                "  --no-memo     disable expansion memoization\n"
                 "  --reps N      repetitions per cell (best-of, default 2)\n"
                 "  --insts N     cap application instructions per run\n"
                 "  --timing-insts N  app-inst cap for the timing cells\n"
-                "  --no-timing   skip the cycle-level ROB-cursor section\n"
+                "  --no-timing   skip the cycle-level section\n"
                 "  --out FILE    JSON output path "
                 "(default BENCH_throughput.json)\n");
             std::exit(0);
         } else {
-            fatal("unknown option '", arg, "' (try --help)");
+            usageError("unknown option '" + arg + "'");
         }
     }
     return opts;
@@ -377,42 +296,9 @@ main(int argc, char **argv)
         opts.quick ? std::vector<std::string>{"bzip2"} : workloadNames();
     const Config configs[] = {Config::Off, Config::Uncond, Config::Cond};
 
-    std::vector<Measurement> results;
-    TextTable table;
-    table.setHeader({"workload", "config", "optimized MIPS",
-                     "fallback MIPS", "speedup"});
-
-    double uncondSpeedupMin = 0.0;
-    bool first = true;
-    for (const auto &name : names) {
-        WorkloadParams params;
-        Workload w = buildWorkload(name, params);
-        for (Config config : configs) {
-            Measurement opt = measure(w, config, true, opts);
-            Measurement fall = measure(w, config, false, opts);
-            results.push_back(opt);
-            results.push_back(fall);
-            double speedup =
-                fall.mips() > 0 ? opt.mips() / fall.mips() : 0.0;
-            if (config == Config::Uncond) {
-                if (first || speedup < uncondSpeedupMin)
-                    uncondSpeedupMin = speedup;
-                first = false;
-            }
-            char optBuf[32], fallBuf[32], spBuf[32];
-            std::snprintf(optBuf, sizeof optBuf, "%.2f", opt.mips());
-            std::snprintf(fallBuf, sizeof fallBuf, "%.2f", fall.mips());
-            std::snprintf(spBuf, sizeof spBuf, "%.2fx", speedup);
-            table.addRow({name, configName(config), optBuf, fallBuf, spBuf});
-        }
-    }
-    std::fputs(table.render().c_str(), stdout);
-    std::printf("min unconditional-instrumentation speedup: %.2fx\n",
-                uncondSpeedupMin);
-
-    // Trace-JIT section: the optimized interpreter with the trace
-    // cache on vs off. µop MIPS is the honest metric here — the JIT's
-    // job is retiring expansion µops cheaply.
+    // Functional section: the interpreter with the trace cache on vs
+    // off. µop MIPS is the honest metric here — the JIT's job is
+    // retiring expansion µops cheaply.
     std::vector<Measurement> jitResults;
     double jitSpeedupMin = 0.0;
     {
@@ -424,8 +310,12 @@ main(int argc, char **argv)
             WorkloadParams params;
             Workload w = buildWorkload(name, params);
             for (Config config : configs) {
-                Measurement on = measureJit(w, config, true, opts);
-                Measurement off = measureJit(w, config, false, opts);
+                auto on = bestOf<Measurement>(opts.reps, [&] {
+                    return measureFunctional(w, config, true, opts);
+                });
+                auto off = bestOf<Measurement>(opts.reps, [&] {
+                    return measureFunctional(w, config, false, opts);
+                });
                 if (on.appInsts != off.appInsts ||
                     on.microOps != off.microOps)
                     fatal("trace JIT changed retirement counts on '",
@@ -452,23 +342,18 @@ main(int argc, char **argv)
                     {name, configName(config), onBuf, offBuf, spBuf});
             }
         }
-        std::printf("\ntrace JIT (cache on vs off, µop MIPS):\n");
+        std::printf("trace JIT (cache on vs off, µop MIPS):\n");
         std::fputs(jtable.render().c_str(), stdout);
         std::printf(
             "min unconditional-instrumentation JIT speedup: %.2fx\n",
             jitSpeedupMin);
     }
 
-    // Cycle-level section: simulated MIPS of the timing model with ROB
-    // scan cursors vs the legacy linear window walks.
+    // Cycle-level section: simulated MIPS of the timing model.
     std::vector<TimingMeasurement> timingResults;
     if (!opts.noTiming) {
         TextTable ttable;
-        ttable.setHeader({"workload", "config", "cursors MIPS",
-                          "linear MIPS", "speedup"});
-        TextTable otable;
-        otable.setHeader({"workload", "config", "refs MIPS",
-                          "copy MIPS", "speedup"});
+        ttable.setHeader({"workload", "config", "MIPS", "cycles"});
         std::vector<std::string> tnames =
             opts.quick ? std::vector<std::string>{"bzip2"}
                        : std::vector<std::string>{"bzip2", "mcf"};
@@ -476,40 +361,18 @@ main(int argc, char **argv)
             WorkloadParams params;
             Workload w = buildWorkload(name, params);
             for (Config config : {Config::Off, Config::Uncond}) {
-                TimingMeasurement cur =
-                    measureTiming(w, config, true, true, opts);
-                TimingMeasurement lin =
-                    measureTiming(w, config, false, true, opts);
-                TimingMeasurement cpy =
-                    measureTiming(w, config, true, false, opts);
-                if (cur.cycles != lin.cycles)
-                    fatal("ROB cursors changed simulated cycles on '",
-                          name, "': ", cur.cycles, " vs ", lin.cycles);
-                if (cur.cycles != cpy.cycles)
-                    fatal("µop references changed simulated cycles on '",
-                          name, "': ", cur.cycles, " vs ", cpy.cycles);
-                timingResults.push_back(cur);
-                timingResults.push_back(lin);
-                timingResults.push_back(cpy);
-                double sp = lin.mips() > 0 ? cur.mips() / lin.mips() : 0;
-                char curBuf[32], linBuf[32], spBuf[32];
-                std::snprintf(curBuf, sizeof curBuf, "%.2f", cur.mips());
-                std::snprintf(linBuf, sizeof linBuf, "%.2f", lin.mips());
-                std::snprintf(spBuf, sizeof spBuf, "%.2fx", sp);
-                ttable.addRow(
-                    {name, configName(config), curBuf, linBuf, spBuf});
-                double osp = cpy.mips() > 0 ? cur.mips() / cpy.mips() : 0;
-                char cpyBuf[32], ospBuf[32];
-                std::snprintf(cpyBuf, sizeof cpyBuf, "%.2f", cpy.mips());
-                std::snprintf(ospBuf, sizeof ospBuf, "%.2fx", osp);
-                otable.addRow(
-                    {name, configName(config), curBuf, cpyBuf, ospBuf});
+                auto m = bestOf<TimingMeasurement>(opts.reps, [&] {
+                    return measureTiming(w, config, opts);
+                });
+                timingResults.push_back(m);
+                char mipsBuf[32];
+                std::snprintf(mipsBuf, sizeof mipsBuf, "%.2f", m.mips());
+                ttable.addRow({name, configName(config), mipsBuf,
+                               std::to_string(m.cycles)});
             }
         }
-        std::printf("\ntiming model (ROB cursors vs linear scans):\n");
+        std::printf("\ntiming model:\n");
         std::fputs(ttable.render().c_str(), stdout);
-        std::printf("\ntiming model (µop references vs copies):\n");
-        std::fputs(otable.render().c_str(), stdout);
     }
 
     std::ofstream os(opts.out);
@@ -517,26 +380,16 @@ main(int argc, char **argv)
         fatal("cannot write ", opts.out);
     os << "{\n  \"bench\": \"throughput\",\n";
     os << "  \"quick\": " << (opts.quick ? "true" : "false") << ",\n";
-    os << "  \"uncond_speedup_min\": " << uncondSpeedupMin << ",\n";
+    os << "  \"host\": {\"cpu_model\": \"" << cpuModel()
+       << "\", \"nproc\": " << std::thread::hardware_concurrency()
+       << "},\n";
     os << "  \"jit_uncond_speedup_min\": " << jitSpeedupMin << ",\n";
-    os << "  \"runs\": [\n";
-    for (size_t i = 0; i < results.size(); ++i) {
-        const Measurement &m = results[i];
-        os << "    {\"workload\": \"" << m.workload << "\", \"config\": \""
-           << configName(m.config) << "\", \"mode\": \""
-           << (m.optimized ? "optimized" : "fallback")
-           << "\", \"app_insts\": " << m.appInsts
-           << ", \"micro_ops\": " << m.microOps
-           << ", \"seconds\": " << m.seconds << ", \"mips\": " << m.mips()
-           << ", \"micro_mips\": " << m.microMips() << "}"
-           << (i + 1 < results.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n  \"jit_runs\": [\n";
+    os << "  \"jit_runs\": [\n";
     for (size_t i = 0; i < jitResults.size(); ++i) {
         const Measurement &m = jitResults[i];
         os << "    {\"workload\": \"" << m.workload << "\", \"config\": \""
            << configName(m.config) << "\", \"jit\": \""
-           << (m.optimized ? "on" : "off")
+           << (m.jit ? "on" : "off")
            << "\", \"app_insts\": " << m.appInsts
            << ", \"micro_ops\": " << m.microOps
            << ", \"seconds\": " << m.seconds << ", \"mips\": " << m.mips()
@@ -547,9 +400,7 @@ main(int argc, char **argv)
     for (size_t i = 0; i < timingResults.size(); ++i) {
         const TimingMeasurement &m = timingResults[i];
         os << "    {\"workload\": \"" << m.workload << "\", \"config\": \""
-           << configName(m.config) << "\", \"rob_scan\": \""
-           << (m.cursors ? "cursors" : "linear")
-           << "\", \"op_mode\": \"" << (m.opRefs ? "refs" : "copy")
+           << configName(m.config)
            << "\", \"app_insts\": " << m.appInsts
            << ", \"cycles\": " << m.cycles << ", \"seconds\": " << m.seconds
            << ", \"mips\": " << m.mips() << "}"

@@ -10,6 +10,7 @@
 #ifndef DISE_COMMON_LOGGING_HH
 #define DISE_COMMON_LOGGING_HH
 
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -85,6 +86,19 @@ fatal(Args &&...args)
     std::string msg = detail::formatParts(std::forward<Args>(args)...);
     detail::emitMessage("fatal", msg);
     throw FatalError(msg);
+}
+
+/**
+ * Reject a command line: one line on stderr and exit status 2, not the
+ * abort an uncaught FatalError would be. For CLI argument parsing.
+ */
+template <typename... Args>
+[[noreturn]] void
+usageError(Args &&...args)
+{
+    std::string msg = detail::formatParts(std::forward<Args>(args)...);
+    std::fprintf(stderr, "%s (try --help)\n", msg.c_str());
+    std::exit(2);
 }
 
 /** Warn about suspicious but survivable conditions. */

@@ -12,16 +12,14 @@ InstStream::InstStream(ArchState &arch, MainMemory &mem, DiseEngine *engine,
                        StreamEnv env)
     : arch_(arch), mem_(mem), engine_(engine), env_(env)
 {
-    if (env_.uopCache)
-        mem_.addCodeWatcher(this);
+    mem_.addCodeWatcher(this);
     if (env_.jit)
         env_.jit->bindEnv(env_);
 }
 
 InstStream::~InstStream()
 {
-    if (env_.uopCache)
-        mem_.removeCodeWatcher(this);
+    mem_.removeCodeWatcher(this);
 }
 
 void
@@ -121,7 +119,7 @@ InstStream::next(MicroOp &op)
         const Inst *instP;
         Inst directInst;
         UopEntry *ent = nullptr;
-        if (env_.uopCache && (pc & 3) == 0) {
+        if ((pc & 3) == 0) {
             ent = uopEntryFor(pc);
             if (ent->decoded == UopEntry::Empty) {
                 auto dec = decode(mem_.fetchWord(pc));

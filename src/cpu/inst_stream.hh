@@ -72,8 +72,6 @@ struct StreamEnv
     OutputSink *sink = nullptr;
     /** Armed µop tap for debug tools (asan, memtrace, ...). */
     UopObserver *observer = nullptr;
-    /** Predecoded µop cache (perf only; off for A/B benchmarking). */
-    bool uopCache = true;
     /** Trace cache for the hot path (owned by the DebugTarget; null
      *  disables both trace recording and dispatch). */
     TraceCache *jit = nullptr;

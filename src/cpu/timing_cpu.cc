@@ -14,15 +14,10 @@ TimingCpu::TimingCpu(ArchState &arch, MainMemory &mem, DiseEngine *engine,
     DISE_ASSERT(cfg_.robSize > 0 && cfg_.rsSize > 0 && cfg_.width > 0,
                 "bad pipeline configuration");
     rob_.resize(cfg_.robSize);
-    if (cfg_.opRefs) {
-        pool_.resize(cfg_.robSize + 2);
-        freeSlots_.reserve(pool_.size());
-        for (int i = static_cast<int>(pool_.size()) - 1; i > 0; --i)
-            freeSlots_.push_back(i);
-        pendingSlot_ = 0;
-    } else {
-        opStore_.resize(cfg_.robSize);
-    }
+    pool_.resize(cfg_.robSize + 2);
+    freeSlots_.reserve(pool_.size());
+    for (int i = static_cast<int>(pool_.size()) - 1; i > 0; --i)
+        freeSlots_.push_back(i);
     std::fill(std::begin(renameMap_), std::end(renameMap_), -1);
 }
 
@@ -91,26 +86,14 @@ TimingCpu::sourcesReady(const RobEntry &e, uint64_t now) const
 bool
 TimingCpu::olderStoresAddrKnown(int slot, uint64_t now) const
 {
-    if (cfg_.robCursors) {
-        // Only in-flight stores matter; walk them oldest-first and
-        // stop at the first one younger than the load.
-        int age = robAge(slot);
-        for (int s : storeSlots_) {
-            if (robAge(s) >= age)
-                return true;
-            const RobEntry &e = rob_[s];
-            if (e.state != SlotState::Done || e.doneCycle > now)
-                return false;
-        }
-        return true;
-    }
-    for (int i = 0; i < robCount_; ++i) {
-        int s = (robHead_ + i) % static_cast<int>(cfg_.robSize);
-        if (s == slot)
+    // Only in-flight stores matter; walk them oldest-first and stop at
+    // the first one younger than the load.
+    int age = robAge(slot);
+    for (int s : storeSlots_) {
+        if (robAge(s) >= age)
             return true;
         const RobEntry &e = rob_[s];
-        if (e.op->isStoreOp() &&
-            (e.state != SlotState::Done || e.doneCycle > now))
+        if (e.state != SlotState::Done || e.doneCycle > now)
             return false;
     }
     return true;
@@ -122,40 +105,17 @@ TimingCpu::forwardingStore(int slot) const
     const MicroOp &load = *rob_[slot].op;
     Addr lo = load.effAddr;
     Addr hi = lo + load.memBytes;
-    if (cfg_.robCursors) {
-        // Youngest older store first: walk the store ring backward,
-        // skipping stores at or past the load's position.
-        int age = robAge(slot);
-        for (auto it = storeSlots_.rbegin(); it != storeSlots_.rend();
-             ++it) {
-            if (robAge(*it) >= age)
-                continue;
-            const RobEntry &e = rob_[*it];
-            Addr slo = e.op->effAddr;
-            Addr shi = slo + e.op->memBytes;
-            if (slo < hi && lo < shi)
-                return *it;
-        }
-        return -1;
-    }
-    // Scan older entries youngest-first.
-    int offset = -1;
-    for (int i = 0; i < robCount_; ++i) {
-        int s = (robHead_ + i) % static_cast<int>(cfg_.robSize);
-        if (s == slot) {
-            offset = i;
-            break;
-        }
-    }
-    for (int i = offset - 1; i >= 0; --i) {
-        int s = (robHead_ + i) % static_cast<int>(cfg_.robSize);
-        const RobEntry &e = rob_[s];
-        if (!e.op->isStoreOp())
+    // Youngest older store first: walk the store ring backward,
+    // skipping stores at or past the load's position.
+    int age = robAge(slot);
+    for (auto it = storeSlots_.rbegin(); it != storeSlots_.rend(); ++it) {
+        if (robAge(*it) >= age)
             continue;
+        const RobEntry &e = rob_[*it];
         Addr slo = e.op->effAddr;
         Addr shi = slo + e.op->memBytes;
         if (slo < hi && lo < shi)
-            return s;
+            return *it;
     }
     return -1;
 }
@@ -262,9 +222,7 @@ TimingCpu::run(const RunLimits &lim)
             if (issueSkip_ > 0)
                 --issueSkip_; // offsets shift as the head advances
             e.state = SlotState::Free;
-            if (cfg_.opRefs)
-                freeSlots_.push_back(
-                    static_cast<int>(e.op - pool_.data()));
+            freeSlots_.push_back(static_cast<int>(e.op - pool_.data()));
             robHead_ = (robHead_ + 1) % static_cast<int>(cfg_.robSize);
             --robCount_;
             ++committed;
@@ -279,20 +237,19 @@ TimingCpu::run(const RunLimits &lim)
         }
 
         // ------------------------------------------------- issue stage
-        // With cursors: start past the head-side prefix of entries
-        // that already issued, and stop once every waiting entry has
-        // been seen — the common full-window case (a long-latency op
-        // at the head, everything behind it done) costs O(waiting)
-        // instead of O(robSize).
+        // Start past the head-side prefix of entries that already
+        // issued, and stop once every waiting entry has been seen — the
+        // common full-window case (a long-latency op at the head,
+        // everything behind it done) costs O(waiting) instead of
+        // O(robSize).
         unsigned waiting = rsCount_;
-        for (int i = cfg_.robCursors ? issueSkip_ : 0;
-             i < robCount_ && issuedThisCycle_ < cfg_.width &&
-             (!cfg_.robCursors || waiting > 0);
+        for (int i = issueSkip_;
+             i < robCount_ && issuedThisCycle_ < cfg_.width && waiting > 0;
              ++i) {
             int slot = (robHead_ + i) % static_cast<int>(cfg_.robSize);
             RobEntry &e = rob_[slot];
             if (e.state != SlotState::Dispatched) {
-                if (cfg_.robCursors && i == issueSkip_)
+                if (i == issueSkip_)
                     ++issueSkip_;
                 continue;
             }
@@ -355,10 +312,9 @@ TimingCpu::run(const RunLimits &lim)
                     streamDone_ = true;
                     break;
                 }
-                // With opRefs the stream decodes straight into the
-                // pending pool slot; no staging copy exists.
-                MicroOp &op =
-                    cfg_.opRefs ? pool_[pendingSlot_] : pending_;
+                // The stream decodes straight into the pending pool
+                // slot; no staging copy exists.
+                MicroOp &op = pool_[pendingSlot_];
                 if (!havePending_) {
                     if (!stream_.next(op)) {
                         streamDone_ = true;
@@ -407,22 +363,12 @@ TimingCpu::run(const RunLimits &lim)
                 int slot = (robHead_ + robCount_) %
                            static_cast<int>(cfg_.robSize);
                 RobEntry &e = rob_[slot];
-                if (cfg_.opRefs) {
-                    // Ownership of the pending slot transfers to the
-                    // ROB entry; the next decode gets a free slot.
-                    e.op = &pool_[pendingSlot_];
-                    DISE_ASSERT(!freeSlots_.empty(),
-                                "micro-op pool exhausted");
-                    pendingSlot_ = freeSlots_.back();
-                    freeSlots_.pop_back();
-                } else {
-                    // Faithful to the pre-refs dispatch: the entry's
-                    // op storage was default-constructed (RobEntry{})
-                    // and then overwritten with the staged copy.
-                    opStore_[slot] = MicroOp{};
-                    opStore_[slot] = op;
-                    e.op = &opStore_[slot];
-                }
+                // Ownership of the pending slot transfers to the ROB
+                // entry; the next decode gets a free slot.
+                e.op = &pool_[pendingSlot_];
+                DISE_ASSERT(!freeSlots_.empty(), "micro-op pool exhausted");
+                pendingSlot_ = freeSlots_.back();
+                freeSlots_.pop_back();
                 e.state = SlotState::Dispatched;
                 e.dispatchCycle = now;
                 e.doneCycle = 0;

@@ -218,7 +218,7 @@ DiseEngine::matchSlot(const Inst &inst, Addr pc) const
 {
     if (!enabled_)
         return -1;
-    if (!indexed_ || !indexable_)
+    if (!indexable_)
         return matchLinear(inst, pc);
     if (!validMask_)
         return -1;
@@ -334,15 +334,11 @@ DiseEngine::ExpansionRef
 DiseEngine::expandCached(int slot, const Inst &trigger)
 {
     const Production &prod = *slotProduction(slot);
-    if (!memoize_ || !cfg_.expansionMemoEntries)
-        return std::make_shared<const Expansion>(
-            instantiateExpansion(*this, prod, trigger));
-
     ExpKey key{slots_[slot].id, trigger};
     auto it = memo_.find(key);
     if (it != memo_.end())
         return it->second;
-    if (memo_.size() >= cfg_.expansionMemoEntries)
+    if (memo_.size() >= ExpansionMemoEntries)
         memo_.clear();
     auto seq = std::make_shared<const Expansion>(
         instantiateExpansion(*this, prod, trigger));

@@ -37,13 +37,12 @@ struct TraceJitConfig
     bool enabled = true;
     /** Taken backward transfers to one target before recording starts. */
     unsigned hotThreshold = 16;
-    /** Longest trace recorded (µops); longer runs trim to a boundary. */
-    unsigned maxOps = 256;
-    /** Shortest trace worth keeping; tighter loops unroll until this. */
-    unsigned minOps = 3;
-    /** Run the per-trace redundancy-suppression pass at build time. */
-    bool suppress = true;
 };
+
+/** Longest trace recorded (µops); longer runs trim to a boundary. */
+constexpr size_t TraceMaxOps = 256;
+/** Shortest trace worth keeping; tighter loops unroll until this. */
+constexpr size_t TraceMinOps = 3;
 
 /** How the executor must treat one trace op. */
 enum class TraceOpKind : uint8_t {

@@ -99,8 +99,7 @@ TraceCache::noteBackEdge(Addr target, uint64_t tableVersion)
 void
 TraceCache::insert(std::shared_ptr<Trace> t)
 {
-    if (cfg_.suppress)
-        suppressRedundant(*t);
+    suppressRedundant(*t);
     evict(t->startPc);
     std::unordered_set<uint64_t> frames;
     collectFrames(*t, frames);

@@ -61,7 +61,7 @@ InstStream::jitStartRecording(Addr startPc)
     jitRec_.trace = std::make_shared<Trace>();
     jitRec_.trace->startPc = startPc;
     jitRec_.trace->tableVersion = engine_ ? engine_->tableVersion() : 0;
-    jitRec_.trace->ops.reserve(env_.jit->config().maxOps);
+    jitRec_.trace->ops.reserve(TraceMaxOps);
     jitRec_.lastBoundaryOps = 0;
     jitRec_.lastBoundaryPc = startPc;
     jitRec_.lastExpId = 0;
@@ -71,7 +71,6 @@ void
 InstStream::jitRecordOp(const MicroOp &op)
 {
     Trace &t = *jitRec_.trace;
-    const TraceJitConfig &cfg = env_.jit->config();
 
     // Ops a trace cannot carry finalize the recording at the last
     // raw-op boundary (or discard it when still too short).
@@ -181,12 +180,12 @@ InstStream::jitRecordOp(const MicroOp &op)
     if (!expanding_ && !inHandler_ && !halted_) {
         jitRec_.lastBoundaryOps = t.ops.size();
         jitRec_.lastBoundaryPc = arch_.pc;
-        if (arch_.pc == t.startPc && t.ops.size() >= cfg.minOps) {
+        if (arch_.pc == t.startPc && t.ops.size() >= TraceMinOps) {
             jitFinalize(true);
             return;
         }
     }
-    if (t.ops.size() >= cfg.maxOps)
+    if (t.ops.size() >= TraceMaxOps)
         jitFinalize(false);
 }
 
@@ -202,7 +201,7 @@ InstStream::jitFinalize(bool full)
         t.ops.resize(rec.lastBoundaryOps);
         t.endPc = rec.lastBoundaryPc;
     }
-    if (t.ops.size() < env_.jit->config().minOps) {
+    if (t.ops.size() < TraceMinOps) {
         ++env_.jit->stats().discarded;
         return;
     }

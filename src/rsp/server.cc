@@ -491,45 +491,44 @@ RspConnection::handlePacket(const std::string &p)
     // watchpoint edits) all take the peek lock, which parks them at
     // the job's next slice boundary — so gdb can watch registers live
     // AND plant a breakpoint or patch memory while the target runs,
-    // exactly like stock gdbserver's non-stop mode.
-    std::unique_lock<std::mutex> peek; // held across the dispatch below
+    // exactly like stock gdbserver's non-stop mode. They take it when
+    // no job runs too: it is then uncontended, except by the server's
+    // stats roll-up, which must not read a session mid-edit.
+    bool busy = false;
     if (nonStop_) {
-        bool busy = false;
-        {
-            std::lock_guard<std::mutex> lk(async_->mu);
-            busy = async_->running;
-        }
-        if (busy) {
-            bool needsPeekLock = false;
-            switch (p[0]) {
-              case 'g':
-              case 'p':
-              case 'm':
-              case 'G':
-              case 'M':
-              case 'P':
-              case 'X':
-              case 'Z':
-              case 'z':
-                needsPeekLock = true;
-                break;
-              case 'q':
-                needsPeekLock = p.rfind("qRcmd,", 0) == 0;
-                break;
-              case 'Q':
-              case 'v':
-              case '?':
-              case 'H':
-              case 'D':
-              case 'k':
-                break;
-              default:
-                return "E05";
-            }
-            if (needsPeekLock && peekLockFn_)
-                peek = peekLockFn_();
-        }
+        std::lock_guard<std::mutex> lk(async_->mu);
+        busy = async_->running;
     }
+    bool needsPeekLock = false;
+    switch (p[0]) {
+      case 'g':
+      case 'p':
+      case 'm':
+      case 'G':
+      case 'M':
+      case 'P':
+      case 'X':
+      case 'Z':
+      case 'z':
+        needsPeekLock = true;
+        break;
+      case 'q':
+        needsPeekLock = p.rfind("qRcmd,", 0) == 0;
+        break;
+      case 'Q':
+      case 'v':
+      case '?':
+      case 'H':
+      case 'D':
+      case 'k':
+        break;
+      default:
+        if (busy)
+            return "E05";
+    }
+    std::unique_lock<std::mutex> peek; // held across the dispatch below
+    if (needsPeekLock && peekLockFn_)
+        peek = peekLockFn_();
 
     try {
         switch (p[0]) {

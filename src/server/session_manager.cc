@@ -480,12 +480,18 @@ SessionManager::stats() const
     if (store_)
         s.quarantined = store_->counters().quarantined;
     // Per-tool counters, rolled up by tool name across live sessions.
-    // Best-effort: a session mid-verb (its mutex held) is skipped and
-    // folds into the next snapshot rather than blocking stats.
+    // Best-effort: a session mid-verb (its mutex held) or mid-slice
+    // (its slice mutex held: a job or an RSP edit) is skipped and folds
+    // into the next snapshot rather than blocking stats. An RSP
+    // connection attaches holding neither; attached() turns true only
+    // once that attach has committed.
     for (const auto &kv : sessions_) {
         ManagedSession &ms = *kv.second;
         std::unique_lock<std::mutex> slk(ms.mu, std::try_to_lock);
-        if (!slk.owns_lock() || !ms.session.attached())
+        if (!slk.owns_lock())
+            continue;
+        std::unique_lock<std::mutex> sliceLk(ms.sliceMu, std::try_to_lock);
+        if (!sliceLk.owns_lock() || !ms.session.attached())
             continue;
         for (const tools::ToolStatsRow &row :
              ms.session.debugger().backend().tools().statsRows()) {

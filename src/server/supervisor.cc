@@ -11,12 +11,14 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <map>
 
 #include "obs/metrics.hh"
+#include "persist/vfs.hh"
 
 namespace dise::server {
 
@@ -105,6 +107,33 @@ ShardSupervisor::start(std::string *err)
         stop();
         return false;
     };
+
+    // A fleet of N opens slices shard-0 .. shard-(N-1) only. A slice
+    // past that holding session images was written by a wider fleet;
+    // its sessions would be stranded without a word, so refuse it.
+    if (!opts_.worker.storeDir.empty()) {
+        persist::RealVfs vfs;
+        std::vector<std::string> slices;
+        vfs.list(opts_.worker.storeDir, slices);
+        for (const std::string &name : slices) {
+            unsigned k = 0;
+            const char *end = name.data() + name.size();
+            if (!name.starts_with("shard-") ||
+                std::from_chars(name.data() + 6, end, k).ptr != end ||
+                k < opts_.shards)
+                continue;
+            std::vector<std::string> files;
+            vfs.list(opts_.worker.storeDir + "/" + name, files);
+            for (const std::string &f : files)
+                if (f.ends_with(".img"))
+                    return fail("store " + opts_.worker.storeDir +
+                                " was written by a fleet of another "
+                                "size: slice " + name +
+                                " holds sessions, which a " +
+                                std::to_string(opts_.shards) +
+                                "-shard fleet cannot reach");
+        }
+    }
 
     // Fork the fleet before the listener: by the time a client can
     // connect, every shard answers (and has recovered its store).

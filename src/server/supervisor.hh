@@ -28,8 +28,8 @@
  * same store directory, so persisted sessions of a kill -9'd worker
  * come back (hibernated) on the replacement, at the same residue.
  * start() refuses a store written by a fleet of another size: a
- * recovered id whose residue names another shard could never be
- * reached.
+ * recovered id whose residue names another shard, or a session image
+ * in a slice shard-<k> with k >= N, could never be reached.
  */
 
 #ifndef DISE_SERVER_SUPERVISOR_HH

@@ -260,6 +260,7 @@ DebugSession::commitMachinery(Machinery &m)
     ev.kind = SessionEventKind::Attached;
     ev.pc = target_->arch.pc;
     events_.push(ev);
+    attached_.store(true, std::memory_order_release);
 }
 
 bool
@@ -1275,6 +1276,7 @@ DebugSession::timeTravel()
 bool
 DebugSession::detach()
 {
+    attached_.store(false, std::memory_order_release);
     debugger_.reset(); // tears down the time-travel session first
     target_.reset();
     preview_.reset();

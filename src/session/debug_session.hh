@@ -32,6 +32,7 @@
 #ifndef DISE_SESSION_DEBUG_SESSION_HH
 #define DISE_SESSION_DEBUG_SESSION_HH
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <set>
@@ -101,7 +102,13 @@ class DebugSession
     /** Install the backend and load the target (idempotent). Returns
      *  false when the technique cannot implement the request. */
     bool attach();
-    bool attached() const { return target_ != nullptr; }
+    /** Safe to poll from another thread (the server's stats roll-up):
+     *  it turns true only once the attached machinery is committed. */
+    bool
+    attached() const
+    {
+        return attached_.load(std::memory_order_acquire);
+    }
     bool attachFailed() const { return attachFailed_; }
     ///@}
 
@@ -364,6 +371,8 @@ class DebugSession
     // Live-phase state.
     std::unique_ptr<DebugTarget> target_;
     std::unique_ptr<Debugger> debugger_;
+    /** target_ != nullptr, published with release order. */
+    std::atomic<bool> attached_{false};
     /** Loaded-but-undebugged image for pre-attach peeks. */
     std::unique_ptr<DebugTarget> preview_;
     bool attachFailed_ = false;

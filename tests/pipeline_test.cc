@@ -41,25 +41,69 @@ TEST(ConfigSweep, WiderIsNotSlower)
     EXPECT_EQ(n.appInsts, w.appInsts); // same work
 }
 
-TEST(ConfigSweep, RobCursorsAreCycleExact)
+/** Figure 2a-style unconditional watch check appended to every store. */
+Production
+storeCheckProduction()
 {
-    // The cursor-accelerated issue/disambiguation scans are a pure
-    // host-side optimization: cycle counts and every flush/transition
-    // statistic must match the legacy linear scans bit for bit.
-    TimingConfig linear;
-    linear.robCursors = false;
-    TimingConfig cursors;
-    cursors.robCursors = true;
-    RunStats a = runCrafty(linear);
-    RunStats b = runCrafty(cursors);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.appInsts, b.appInsts);
-    EXPECT_EQ(a.microOps, b.microOps);
-    EXPECT_EQ(a.mispredictFlushes, b.mispredictFlushes);
-    EXPECT_EQ(a.diseFlushes, b.diseFlushes);
-    EXPECT_EQ(a.serializeFlushes, b.serializeFlushes);
-    EXPECT_EQ(a.loads, b.loads);
-    EXPECT_EQ(a.stores, b.stores);
+    auto R = [](RegId r) { return TRegField::reg(r); };
+    Production p;
+    p.name = "watch-uncond";
+    p.pattern = Pattern::forClass(OpClass::Store);
+    p.replacement.push_back(TemplateInst::trigInst());
+    p.replacement.push_back(TemplateInst::mem(Opcode::LDA, R(dr(1)),
+                                              TImmField::trigImm(),
+                                              TRegField::trigRb()));
+    p.replacement.push_back(TemplateInst::op3(Opcode::CMPEQ, R(dr(1)),
+                                              R(dr(3)), R(dr(2))));
+    TemplateInst trap;
+    trap.op = Opcode::CTRAP;
+    trap.ra = R(dr(2));
+    trap.imm = TImmField::imm(1);
+    p.replacement.push_back(trap);
+    return p;
+}
+
+struct GoldenStats
+{
+    uint64_t cycles, microOps, appInsts;
+    uint64_t mispredictFlushes, diseFlushes, serializeFlushes;
+    uint64_t loads, stores;
+};
+
+void
+expectGolden(const RunStats &r, const GoldenStats &g)
+{
+    EXPECT_EQ(r.cycles, g.cycles);
+    EXPECT_EQ(r.microOps, g.microOps);
+    EXPECT_EQ(r.appInsts, g.appInsts);
+    EXPECT_EQ(r.mispredictFlushes, g.mispredictFlushes);
+    EXPECT_EQ(r.diseFlushes, g.diseFlushes);
+    EXPECT_EQ(r.serializeFlushes, g.serializeFlushes);
+    EXPECT_EQ(r.loads, g.loads);
+    EXPECT_EQ(r.stores, g.stores);
+}
+
+TEST(ConfigSweep, DefaultConfigMatchesPinnedCycles)
+{
+    // Pinned from the model with its ROB scan cursors and µop-pool
+    // references each swapped for the legacy whole-window scans and
+    // per-op copies: all three variants agreed bit for bit. Any change
+    // to these numbers is a change to the simulated machine.
+    expectGolden(runCrafty({}),
+                 {40412, 146466, 146466, 100, 0, 2, 385, 13454});
+
+    Workload w = buildBzip2({});
+    DebugTarget t(w.program);
+    t.engine.addProduction(storeCheckProduction());
+    t.arch.writeDise(3, w.hotAddr);
+    t.load();
+    StreamEnv env;
+    env.sink = &t.sink;
+    TimingCpu cpu(t.arch, t.mem, &t.engine, env, {});
+    RunStats r = cpu.run({});
+    expectGolden(r, {263942, 971585, 610442, 194, 0, 3, 80125, 120381});
+    EXPECT_EQ(r.expansionOps, 361143u);
+    EXPECT_EQ(r.transitionsUser, 16000u);
 }
 
 TEST(ConfigSweep, DeeperFrontEndCostsMore)

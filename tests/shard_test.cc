@@ -286,6 +286,17 @@ TEST(ShardSupervisor, StoreFromAnotherFleetSizeIsRefusedAtStart)
         EXPECT_NE(err.find("session 3"), std::string::npos) << err;
     }
 
+    // One shard would never open slice shard-1, which holds ids 2 and
+    // 4: start() refuses it and names the slice.
+    {
+        ShardSupervisor sup(fleetOptions(1, dir));
+        std::string err;
+        EXPECT_FALSE(sup.start(&err));
+        EXPECT_NE(err.find("fleet of another size"), std::string::npos)
+            << err;
+        EXPECT_NE(err.find("shard-1"), std::string::npos) << err;
+    }
+
     // The refused start left the store intact: the original fleet
     // size reaches every recovered session, bit-identically.
     ShardSupervisor sup(fleetOptions(2, dir));

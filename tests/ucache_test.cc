@@ -1,11 +1,11 @@
 /**
  * @file
- * Correctness tests for the hot-path caches: the predecoded µop cache
- * (self-modifying-code invalidation through MainMemory's CodeWatcher
- * hook, match-outcome invalidation through the engine's generation
- * counter), the indexed production matcher (equivalence with the
- * linear reference scan), memoized expansions, and the fetchWord
- * fast path.
+ * Correctness tests for the hot-path caches, which are always on: the
+ * predecoded µop cache (self-modifying-code invalidation through
+ * MainMemory's CodeWatcher hook, match-outcome invalidation through the
+ * engine's generation counter), the indexed production matcher
+ * (equivalence with the linear scan a table wider than the candidate
+ * mask takes), memoized expansions, and the fetchWord fast path.
  */
 
 #include <gtest/gtest.h>
@@ -44,8 +44,7 @@ countStoresProduction()
  * overwritten in memory, then executed again: the new instruction must
  * take effect on the next pass.
  */
-void
-runSmcLoop(bool uopCache, uint64_t *markOut, size_t *cachedPages)
+TEST(UopCache, SelfModifyingCodeInvalidatesCachedDecode)
 {
     // Iteration 1 runs "addq t0, 1, t0" at the patch site, then the
     // loop tail overwrites the site with "addq t0, 7, t0".
@@ -73,25 +72,12 @@ runSmcLoop(bool uopCache, uint64_t *markOut, size_t *cachedPages)
     target.load();
     StreamEnv env;
     env.sink = &target.sink;
-    env.uopCache = uopCache;
     FuncCpu cpu(target.arch, target.mem, &target.engine, env);
     FuncResult r = cpu.run();
     ASSERT_EQ(r.halt, HaltReason::Exited);
     ASSERT_EQ(target.sink.marks.size(), 1u);
-    *markOut = target.sink.marks[0];
-    if (cachedPages)
-        *cachedPages = cpu.stream().uopCachedPages();
-}
-
-TEST(UopCache, SelfModifyingCodeInvalidatesCachedDecode)
-{
-    uint64_t cached = 0, uncached = 0;
-    size_t pages = 0;
-    runSmcLoop(true, &cached, &pages);
-    runSmcLoop(false, &uncached, nullptr);
-    EXPECT_EQ(cached, 8u); // 1 (original) + 7 (patched)
-    EXPECT_EQ(uncached, 8u);
-    EXPECT_GE(pages, 1u); // the cache was actually in play
+    EXPECT_EQ(target.sink.marks[0], 8u); // 1 (original) + 7 (patched)
+    EXPECT_GE(cpu.stream().uopCachedPages(), 1u); // the cache was in play
 }
 
 // --------------------------------------- production-table invalidation
@@ -279,7 +265,13 @@ TEST(ExpansionMemo, TableMutationDropsMemoButSequencesSurvive)
 
 TEST(IndexedMatch, AgreesWithLinearScanAcrossPatternKinds)
 {
+    // The reference engine's table is wider than the 64-bit candidate
+    // mask, so it matches by linear scan. Both fill slots first-free,
+    // so equal slot indices mean equal productions.
     DiseEngine engine;
+    DiseEngineConfig wide;
+    wide.patternTableEntries = 128;
+    DiseEngine linearEngine(wide);
     auto ident = [](std::string name, Pattern pat) {
         Production p;
         p.name = std::move(name);
@@ -295,13 +287,15 @@ TEST(IndexedMatch, AgreesWithLinearScanAcrossPatternKinds)
     Pattern onlyBase; // base-register-only: no indexable anchor
     onlyBase.baseReg = s0;
 
-    engine.addProduction(ident("stores", Pattern::forClass(OpClass::Store)));
-    engine.addProduction(ident("stores-sp", storeSp));
-    engine.addProduction(ident("stq", Pattern::forOpcode(Opcode::STQ)));
-    engine.addProduction(ident("pc", Pattern::forPc(0x1008)));
-    engine.addProduction(ident("load-at-pc", loadAtPc));
-    engine.addProduction(ident("cw7", Pattern::forCodeword(7)));
-    engine.addProduction(ident("base-only", onlyBase));
+    for (DiseEngine *e : {&engine, &linearEngine}) {
+        e->addProduction(ident("stores", Pattern::forClass(OpClass::Store)));
+        e->addProduction(ident("stores-sp", storeSp));
+        e->addProduction(ident("stq", Pattern::forOpcode(Opcode::STQ)));
+        e->addProduction(ident("pc", Pattern::forPc(0x1008)));
+        e->addProduction(ident("load-at-pc", loadAtPc));
+        e->addProduction(ident("cw7", Pattern::forCodeword(7)));
+        e->addProduction(ident("base-only", onlyBase));
+    }
 
     const Inst insts[] = {
         makeMem(Opcode::STQ, t0, 0, sp),   makeMem(Opcode::STL, t0, 8, t1),
@@ -314,11 +308,8 @@ TEST(IndexedMatch, AgreesWithLinearScanAcrossPatternKinds)
 
     for (const Inst &inst : insts) {
         for (Addr pc : pcs) {
-            engine.setIndexedMatch(true);
-            int indexed = engine.matchSlot(inst, pc);
-            engine.setIndexedMatch(false);
-            int linear = engine.matchSlot(inst, pc);
-            EXPECT_EQ(indexed, linear)
+            EXPECT_EQ(engine.matchSlot(inst, pc),
+                      linearEngine.matchSlot(inst, pc))
                 << "inst op " << static_cast<int>(inst.op) << " pc 0x"
                 << std::hex << pc;
         }

@@ -133,7 +133,7 @@ main(int argc, char **argv)
         std::string arg = argv[i];
         auto next = [&]() -> const char * {
             if (i + 1 >= argc)
-                fatal("missing value for ", arg);
+                usageError("missing value for ", arg);
             return argv[++i];
         };
         if (arg == "--quick")
@@ -142,8 +142,16 @@ main(int argc, char **argv)
             out = next();
         else if (arg == "--workload")
             workload = next();
-        else
-            fatal("unknown option '", arg, "'");
+        else if (arg == "--help" || arg == "-h") {
+            std::printf("usage: obs_bench [options]\n"
+                        "  --quick          fewer iterations (CI smoke)\n"
+                        "  --out FILE       JSON output "
+                        "(default BENCH_obs.json)\n"
+                        "  --workload NAME  workload (default mcf)\n");
+            return 0;
+        } else {
+            usageError("unknown option '", arg, "'");
+        }
     }
 
     unsigned scale = quick ? 1 : 4;

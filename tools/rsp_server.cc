@@ -77,15 +77,15 @@ main(int argc, char **argv)
         std::string arg = argv[i];
         auto next = [&]() -> const char * {
             if (i + 1 >= argc)
-                fatal("missing value for ", arg);
+                usageError("missing value for ", arg);
             return argv[++i];
         };
         if (arg == "--port") {
             opts.port = static_cast<uint16_t>(std::atoi(next()));
         } else if (arg == "--backend") {
             if (!parseBackendToken(next(), opts.defaultBackend))
-                fatal("unknown backend (dise, single-step, vm, hwreg, "
-                      "rewrite)");
+                usageError("unknown backend (dise, single-step, vm, "
+                           "hwreg, rewrite)");
         } else if (arg == "--workload") {
             opts.defaultWorkload = next();
         } else if (arg == "--max-sessions") {
@@ -108,7 +108,8 @@ main(int argc, char **argv)
         } else if (arg == "--log-level") {
             LogLevel level = LogLevel::Info;
             if (!parseLogLevel(next(), level))
-                fatal("unknown log level (error, warn, info, debug)");
+                usageError("unknown log level (error, warn, info, "
+                           "debug)");
             setLogLevel(level);
         } else if (arg == "--chaos-seed") {
             // Probability-armed fault injection across every store
@@ -128,7 +129,7 @@ main(int argc, char **argv)
             opts.verbose = true;
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
-                "options:\n"
+                "usage: rsp_server [options]\n"
                 "  --port N          TCP port (default 7777)\n"
                 "  --backend NAME    dise | single-step | vm | hwreg | "
                 "rewrite (RSP default)\n"
@@ -159,7 +160,7 @@ main(int argc, char **argv)
                 "  --verbose         log packets and connections\n");
             return 0;
         } else {
-            fatal("unknown option '", arg, "' (try --help)");
+            usageError("unknown option '", arg, "'");
         }
     }
 

@@ -312,12 +312,6 @@ main(int argc, char **argv)
     unsigned slots = 0;    // hardware concurrency
     unsigned maxProcs = 4; // shard-mode sweep cap (0 = skip)
 
-    // A bad flag is a usage error: one line and exit status 2, not the
-    // abort an uncaught FatalError would be.
-    auto usageError = [](const std::string &msg) {
-        std::fprintf(stderr, "%s (try --help)\n", msg.c_str());
-        std::exit(2);
-    };
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         auto next = [&]() -> const char * {

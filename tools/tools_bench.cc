@@ -127,7 +127,7 @@ main(int argc, char **argv)
         std::string arg = argv[i];
         auto next = [&]() -> const char * {
             if (i + 1 >= argc)
-                fatal("missing value for ", arg);
+                usageError("missing value for ", arg);
             return argv[++i];
         };
         if (arg == "--quick")
@@ -142,9 +142,22 @@ main(int argc, char **argv)
             scale = static_cast<unsigned>(std::atoi(next()));
         else if (arg == "--backend") {
             if (!parseBackendToken(next(), backend))
-                fatal("unknown backend");
+                usageError("unknown backend");
+        } else if (arg == "--help" || arg == "-h") {
+            std::printf("usage: tools_bench [options]\n"
+                        "  --quick          fewer reps, small scale (CI)\n"
+                        "  --out FILE       JSON output "
+                        "(default BENCH_tools.json)\n"
+                        "  --workload NAME  workload (default bzip2)\n"
+                        "  --backend NAME   dise | single-step | vm | "
+                        "hwreg | rewrite\n"
+                        "  --reps N         repetitions, best-of "
+                        "(default 5, quick 2)\n"
+                        "  --scale N        workload scale "
+                        "(default 4, quick 1)\n");
+            return 0;
         } else {
-            fatal("unknown option '", arg, "'");
+            usageError("unknown option '", arg, "'");
         }
     }
     if (!reps)
