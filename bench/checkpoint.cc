@@ -5,21 +5,23 @@
  * Two questions, two JSON sections:
  *
  *  1. cow.dirty_sweep / cow.footprint_sweep — does snapshot cost scale
- *     with the pages dirtied per checkpoint interval rather than with
+ *     with the memory dirtied per checkpoint interval rather than with
  *     total memory size? The copy-on-write undo log captures one
- *     pre-image per dirtied page per interval, so the per-interval
- *     cost must track the dirty-page count and stay flat as the
- *     resident footprint grows.
+ *     64-byte pre-image per dirtied line per interval, so the
+ *     per-interval cost must track the dirty count and stay flat as
+ *     the resident footprint grows.
  *
- *  2. timetravel[] — end-to-end cost of checkpointed execution over a
- *     real workload and backend at two checkpoint intervals: forward
- *     slowdown vs a plain functional run (the record overhead),
- *     checkpoint counts, pages copied per checkpoint,
- *     reverse-continue latency (restore + replay-distance trade-off),
- *     and whether reverse-continue lands on the final event with a
- *     bit-identical replay.
+ *  2. timetravel[] — end-to-end cost of checkpointed execution over
+ *     real workloads (bzip2 dirties a few pages densely per interval,
+ *     mcf hundreds of pages sparsely) and backends at two checkpoint
+ *     intervals: forward slowdown vs a plain functional run (the
+ *     record overhead), checkpoint counts, pages and bytes copied per
+ *     checkpoint, reverse-continue latency (restore + replay-distance
+ *     trade-off), and whether reverse-continue lands on the final
+ *     event with a bit-identical replay.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -32,6 +34,7 @@
 #include "cpu/func_cpu.hh"
 #include "debug/debugger.hh"
 #include "harness/experiment.hh"
+#include "host_info.hh"
 #include "replay/time_travel.hh"
 #include "workloads/workload.hh"
 
@@ -45,6 +48,15 @@ secondsSince(std::chrono::steady_clock::time_point t0)
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          t0)
         .count();
+}
+
+std::string
+hexDigest(uint64_t v)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "0x%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
 }
 
 struct Options
@@ -61,12 +73,14 @@ struct CowPoint
     uint64_t dirtyPages = 0;
     double usPerInterval = 0.0;
     double pagesPerInterval = 0.0;
+    uint64_t bytesCopied = 0;
+    double bytesPerInterval = 0.0;
 };
 
 /**
  * Populate @p footprint pages, then run @p intervals checkpoint
  * intervals each dirtying @p dirty distinct pages several times, and
- * report the average seal cost and captured-page count.
+ * report the average seal cost and captured page and byte counts.
  */
 CowPoint
 measureCow(uint64_t footprint, uint64_t dirty, unsigned intervals)
@@ -78,13 +92,17 @@ measureCow(uint64_t footprint, uint64_t dirty, unsigned intervals)
 
     mem.beginUndoLog();
     uint64_t captured = 0;
+    uint64_t bytes = 0;
     auto t0 = std::chrono::steady_clock::now();
     for (unsigned iv = 0; iv < intervals; ++iv) {
-        // Several writes per page: only the first captures a pre-image.
+        // Several writes per page, all to its first line: only the
+        // first captures a pre-image.
         for (int rep = 0; rep < 4; ++rep)
             for (uint64_t p = 0; p < dirty; ++p)
                 mem.write(base + p * PageBytes + 8 * rep, 8, iv + rep);
-        captured += mem.sealUndoInterval().size();
+        UndoLog log = mem.sealUndoInterval();
+        captured += log.pages;
+        bytes += log.bytes();
     }
     double secs = secondsSince(t0);
     mem.endUndoLog();
@@ -94,6 +112,8 @@ measureCow(uint64_t footprint, uint64_t dirty, unsigned intervals)
     pt.dirtyPages = dirty;
     pt.usPerInterval = secs / intervals * 1e6;
     pt.pagesPerInterval = static_cast<double>(captured) / intervals;
+    pt.bytesCopied = bytes;
+    pt.bytesPerInterval = static_cast<double>(bytes) / intervals;
     return pt;
 }
 
@@ -109,11 +129,14 @@ struct TtPoint
     uint64_t checkpoints = 0;
     uint64_t pagesCopied = 0;
     double pagesPerCheckpoint = 0.0;
+    uint64_t bytesCopied = 0;
+    double bytesPerCheckpoint = 0.0;
     double forwardMips = 0.0; ///< checkpointed+logged forward run
     double plainMips = 0.0;   ///< plain functional run, same backend
     double recordSlowdown = 0.0;
     double reverseContinueMs = 0.0;
     uint64_t replayedUops = 0;
+    uint64_t digest = 0; ///< end-state digest of the forward run
     bool reverseLanded = false;
     bool replayExact = false;
 };
@@ -159,10 +182,10 @@ measureTimeTravel(ExperimentRunner &runner, const std::string &name,
     pt.events = outcome.events;
     pt.checkpoints = outcome.checkpoints;
     pt.pagesCopied = outcome.pagesCopied;
-    pt.pagesPerCheckpoint =
-        pt.checkpoints ? static_cast<double>(pt.pagesCopied) /
-                             static_cast<double>(pt.checkpoints)
-                       : 0.0;
+    pt.bytesCopied = outcome.bytesCopied;
+    double cps = static_cast<double>(std::max<uint64_t>(1, pt.checkpoints));
+    pt.pagesPerCheckpoint = static_cast<double>(pt.pagesCopied) / cps;
+    pt.bytesPerCheckpoint = static_cast<double>(pt.bytesCopied) / cps;
     pt.forwardMips = outcome.forwardSeconds > 0
                          ? outcome.appInsts / outcome.forwardSeconds / 1e6
                          : 0.0;
@@ -170,6 +193,7 @@ measureTimeTravel(ExperimentRunner &runner, const std::string &name,
         pt.forwardMips > 0 ? pt.plainMips / pt.forwardMips : 0.0;
     pt.reverseContinueMs = outcome.reverseContinueSeconds * 1e3;
     pt.replayedUops = outcome.replayedUops;
+    pt.digest = outcome.digest;
     pt.reverseLanded = outcome.reverseLanded;
     pt.replayExact = outcome.replayExact;
     return pt;
@@ -226,16 +250,17 @@ main(int argc, char **argv)
 
     TextTable cow;
     cow.setHeader({"footprint pages", "dirty pages", "us/interval",
-                   "pages/interval"});
+                   "pages/interval", "bytes/interval"});
     auto addCow = [&](const CowPoint &p) {
-        char a[32], b[32], c[32], d[32];
+        char a[32], b[32], c[32], d[32], e[32];
         std::snprintf(a, sizeof a, "%llu",
                       static_cast<unsigned long long>(p.footprintPages));
         std::snprintf(b, sizeof b, "%llu",
                       static_cast<unsigned long long>(p.dirtyPages));
         std::snprintf(c, sizeof c, "%.2f", p.usPerInterval);
         std::snprintf(d, sizeof d, "%.1f", p.pagesPerInterval);
-        cow.addRow({a, b, c, d});
+        std::snprintf(e, sizeof e, "%.0f", p.bytesPerInterval);
+        cow.addRow({a, b, c, d, e});
     };
     for (const auto &p : dirtySweep)
         addCow(p);
@@ -244,10 +269,12 @@ main(int argc, char **argv)
     std::printf("copy-on-write snapshot cost:\n");
     std::fputs(cow.render().c_str(), stdout);
 
-    // Sanity: snapshot cost is per dirtied page, not per resident page.
+    // Sanity: snapshot cost is per dirtied line, not per resident page.
     if (footSweep.front().pagesPerInterval !=
-        footSweep.back().pagesPerInterval)
-        fatal("COW captured a footprint-dependent page count");
+            footSweep.back().pagesPerInterval ||
+        footSweep.front().bytesPerInterval !=
+            footSweep.back().bytesPerInterval)
+        fatal("COW captured a footprint-dependent amount");
 
     // 3. End-to-end time travel across backends and intervals.
     const uint64_t maxInsts = opts.quick ? 60000 : 400000;
@@ -255,27 +282,29 @@ main(int argc, char **argv)
     std::vector<TtPoint> tts;
     std::vector<BackendKind> kinds = {BackendKind::Dise,
                                       BackendKind::VirtualMemory};
-    for (BackendKind kind : kinds)
-        for (uint64_t interval : {2048, 16384})
-            tts.push_back(measureTimeTravel(runner, "bzip2", kind,
-                                            interval, maxInsts));
+    for (const char *name : {"bzip2", "mcf"})
+        for (BackendKind kind : kinds)
+            for (uint64_t interval : {2048, 16384})
+                tts.push_back(measureTimeTravel(runner, name, kind,
+                                                interval, maxInsts));
 
     TextTable tt;
-    tt.setHeader({"backend", "interval", "ckpts", "pages/ckpt",
-                  "record slowdown", "rev-cont ms", "exact"});
+    tt.setHeader({"workload", "backend", "interval", "ckpts", "pages/ckpt",
+                  "KiB/ckpt", "record slowdown", "rev-cont ms", "exact"});
     for (const auto &p : tts) {
-        char a[32], b[32], c[32], d[32], e[32];
+        char a[32], b[32], c[32], d[32], e[32], f[32];
         std::snprintf(a, sizeof a, "%llu",
                       static_cast<unsigned long long>(p.interval));
         std::snprintf(b, sizeof b, "%llu",
                       static_cast<unsigned long long>(p.checkpoints));
         std::snprintf(c, sizeof c, "%.1f", p.pagesPerCheckpoint);
+        std::snprintf(f, sizeof f, "%.1f", p.bytesPerCheckpoint / 1024);
         std::snprintf(d, sizeof d, "%.2fx", p.recordSlowdown);
         std::snprintf(e, sizeof e, "%.2f", p.reverseContinueMs);
-        tt.addRow({p.backend, a, b, c, d, e,
+        tt.addRow({p.workload, p.backend, a, b, c, f, d, e,
                    p.reverseLanded && p.replayExact ? "yes" : "NO"});
     }
-    std::printf("\ntime-travel end-to-end (bzip2, HOT watch):\n");
+    std::printf("\ntime-travel end-to-end (HOT watch):\n");
     std::fputs(tt.render().c_str(), stdout);
 
     for (const auto &p : tts)
@@ -288,6 +317,7 @@ main(int argc, char **argv)
         fatal("cannot write ", opts.out);
     os << "{\n  \"bench\": \"checkpoint\",\n";
     os << "  \"quick\": " << (opts.quick ? "true" : "false") << ",\n";
+    os << "  \"host\": " << hostJson() << ",\n";
     os << "  \"cow\": {\n    \"dirty_sweep\": [\n";
     auto emitCow = [&os](const std::vector<CowPoint> &v) {
         for (size_t i = 0; i < v.size(); ++i) {
@@ -296,6 +326,8 @@ main(int argc, char **argv)
                << ", \"dirty_pages\": " << p.dirtyPages
                << ", \"us_per_interval\": " << p.usPerInterval
                << ", \"pages_per_interval\": " << p.pagesPerInterval
+               << ", \"bytes_copied\": " << p.bytesCopied
+               << ", \"bytes_per_interval\": " << p.bytesPerInterval
                << "}" << (i + 1 < v.size() ? "," : "") << "\n";
         }
     };
@@ -313,11 +345,14 @@ main(int argc, char **argv)
            << ", \"checkpoints\": " << p.checkpoints
            << ", \"pages_copied\": " << p.pagesCopied
            << ", \"pages_per_checkpoint\": " << p.pagesPerCheckpoint
+           << ", \"bytes_copied\": " << p.bytesCopied
+           << ", \"bytes_per_checkpoint\": " << p.bytesPerCheckpoint
            << ", \"forward_mips\": " << p.forwardMips
            << ", \"plain_mips\": " << p.plainMips
            << ", \"record_slowdown\": " << p.recordSlowdown
            << ", \"reverse_continue_ms\": " << p.reverseContinueMs
            << ", \"replayed_uops\": " << p.replayedUops
+           << ", \"digest\": \"" << hexDigest(p.digest) << "\""
            << ", \"reverse_landed\": "
            << (p.reverseLanded ? "true" : "false")
            << ", \"replay_exact\": " << (p.replayExact ? "true" : "false")

@@ -23,7 +23,6 @@
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/logging.hh"
@@ -32,6 +31,7 @@
 #include "cpu/timing_cpu.hh"
 #include "debug/target.hh"
 #include "dise/engine.hh"
+#include "host_info.hh"
 #include "workloads/workload.hh"
 
 using namespace dise;
@@ -228,19 +228,6 @@ measureTiming(const Workload &w, Config config, const Options &opts)
     return m;
 }
 
-/** Host CPU model from /proc/cpuinfo ("unknown" elsewhere). */
-std::string
-cpuModel()
-{
-    std::ifstream f("/proc/cpuinfo");
-    for (std::string line; std::getline(f, line);) {
-        size_t c = line.find(':');
-        if (line.rfind("model name", 0) == 0 && c != std::string::npos)
-            return line.substr(c + 2);
-    }
-    return "unknown";
-}
-
 Options
 parseArgs(int argc, char **argv)
 {
@@ -380,9 +367,7 @@ main(int argc, char **argv)
         fatal("cannot write ", opts.out);
     os << "{\n  \"bench\": \"throughput\",\n";
     os << "  \"quick\": " << (opts.quick ? "true" : "false") << ",\n";
-    os << "  \"host\": {\"cpu_model\": \"" << cpuModel()
-       << "\", \"nproc\": " << std::thread::hardware_concurrency()
-       << "},\n";
+    os << "  \"host\": " << hostJson() << ",\n";
     os << "  \"jit_uncond_speedup_min\": " << jitSpeedupMin << ",\n";
     os << "  \"jit_runs\": [\n";
     for (size_t i = 0; i < jitResults.size(); ++i) {

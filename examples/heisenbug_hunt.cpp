@@ -83,10 +83,11 @@ main()
     StopInfo end = tt.runToEnd(); // lazy attach: first resume installs
     SessionStats ss = tt.stats();
     std::printf("program exited at t=%llu (%zu checkpoints, %llu "
-                "pages copied)\n",
+                "pages dirtied, %llu undo bytes copied)\n",
                 static_cast<unsigned long long>(end.time),
                 ss.checkpoints,
-                static_cast<unsigned long long>(ss.pagesCopied));
+                static_cast<unsigned long long>(ss.pagesCopied),
+                static_cast<unsigned long long>(ss.undoBytes));
 
     for (StopInfo hit = tt.reverseContinue();
          hit.reason == StopReason::Event; hit = tt.reverseContinue()) {

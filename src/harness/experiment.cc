@@ -1,6 +1,7 @@
 #include "harness/experiment.hh"
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,11 +19,17 @@ parseHarnessArgs(int argc, char **argv)
         std::string arg = argv[i];
         auto next = [&]() -> const char * {
             if (i + 1 >= argc)
-                fatal("missing value for ", arg);
+                usageError("missing value for ", arg);
             return argv[++i];
         };
         if (arg == "--scale") {
-            opts.scale = static_cast<unsigned>(std::atoi(next()));
+            const char *v = next();
+            char *end = nullptr;
+            unsigned long n = std::strtoul(v, &end, 10);
+            if (end == v || *end != '\0' || n == 0 || n > UINT_MAX)
+                usageError("--scale wants a positive integer, not '", v,
+                           "'");
+            opts.scale = static_cast<unsigned>(n);
         } else if (arg == "--transition-cost") {
             opts.transitionCost =
                 static_cast<uint64_t>(std::atoll(next()));
@@ -40,7 +47,7 @@ parseHarnessArgs(int argc, char **argv)
                 "  --csv                CSV output\n");
             std::exit(0);
         } else {
-            fatal("unknown option '", arg, "' (try --help)");
+            usageError("unknown option '", arg, "'");
         }
     }
     return opts;
@@ -189,9 +196,11 @@ ExperimentRunner::checkpointedRun(const std::string &name,
     outcome.appInsts = end.appInsts;
     outcome.events = session.eventCount();
     outcome.checkpoints = session.stats().checkpoints;
-    outcome.pagesCopied =
-        ts->pagesCopied + session.target().mem.undoPagesPending();
+    const MainMemory &mem = session.target().mem;
+    outcome.pagesCopied = ts->pagesCopied + mem.undoPagesPending();
     outcome.pagesRestored = ts->pagesRestored;
+    outcome.bytesCopied = ts->bytesCopied + mem.pendingUndo().bytes();
+    outcome.bytesRestored = ts->bytesRestored;
     outcome.replayedUops = ts->replayedUops;
     outcome.digest = endDigest;
     return outcome;

@@ -76,6 +76,8 @@ class ExperimentRunner
         size_t checkpoints = 0;
         uint64_t pagesCopied = 0;
         uint64_t pagesRestored = 0;
+        uint64_t bytesCopied = 0;   ///< undo pre-image bytes captured
+        uint64_t bytesRestored = 0; ///< undo pre-image bytes written back
         uint64_t replayedUops = 0;
         uint64_t digest = 0;
         /** Wall time of the forward (record-mode) run. */

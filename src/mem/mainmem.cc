@@ -1,6 +1,7 @@
 #include "mem/mainmem.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/bitutils.hh"
@@ -67,14 +68,14 @@ MainMemory::beginUndoLog()
 {
     undoActive_ = true;
     ++undoEpoch_;
-    undoLog_.clear();
+    undoLog_ = UndoLog{};
 }
 
 void
 MainMemory::endUndoLog()
 {
     undoActive_ = false;
-    undoLog_.clear();
+    undoLog_ = UndoLog{};
 }
 
 UndoLog
@@ -82,31 +83,40 @@ MainMemory::sealUndoInterval()
 {
     DISE_ASSERT(undoActive_, "sealUndoInterval without beginUndoLog");
     UndoLog out = std::move(undoLog_);
-    undoLog_.clear();
+    undoLog_ = UndoLog{};
     ++undoEpoch_;
     return out;
 }
 
 void
-MainMemory::captureUndo(Page &page, uint64_t frame)
+MainMemory::captureUndo(Page &page, Addr addr, uint64_t lines)
 {
-    page.undoEpoch = undoEpoch_;
-    undoLog_.emplace_back();
-    UndoPage &u = undoLog_.back();
-    u.frame = frame;
-    std::memcpy(u.bytes.data(), page.bytes, PageBytes);
+    if (page.undoEpoch != undoEpoch_) {
+        page.undoEpoch = undoEpoch_;
+        page.undoLines = 0;
+        ++undoLog_.pages;
+    }
+    Addr base = addr - addr % PageBytes;
+    for (uint64_t todo = lines & ~page.undoLines; todo; todo &= todo - 1) {
+        uint64_t off = std::countr_zero(todo) * UndoLineBytes;
+        UndoLine &u = undoLog_.lines.emplace_back();
+        u.addr = base + off;
+        std::memcpy(u.bytes.data(), &page.bytes[off], UndoLineBytes);
+    }
+    page.undoLines |= lines;
 }
 
 void
 MainMemory::applyUndo(const UndoLog &log)
 {
-    for (const UndoPage &u : log) {
-        Page &p = pageFor(u.frame * PageBytes);
-        std::memcpy(p.bytes, u.bytes.data(), PageBytes);
+    for (const UndoLine &u : log.lines) {
+        Page &p = pageFor(u.addr);
+        std::memcpy(&p.bytes[u.addr % PageBytes], u.bytes.data(),
+                    UndoLineBytes);
         // Restoring bytes is a modification like any other: cached
         // decodes for the page are now stale.
         if (p.codeCached)
-            notifyCodeWrite(p, u.frame);
+            notifyCodeWrite(p, u.addr / PageBytes);
         // The restored image is the open interval's new baseline.
         p.undoEpoch = 0;
     }
@@ -221,7 +231,7 @@ MainMemory::write(Addr addr, unsigned bytes, uint64_t value)
     uint64_t off = addr % PageBytes;
     if (off + bytes <= PageBytes) {
         Page &p = pageFor(addr);
-        undoHook(p, addr / PageBytes);
+        undoHook(p, addr, bytes);
         for (unsigned i = 0; i < bytes; ++i)
             p.bytes[off + i] = (value >> (8 * i)) & 0xff;
         if (p.codeCached)
@@ -230,7 +240,7 @@ MainMemory::write(Addr addr, unsigned bytes, uint64_t value)
     }
     for (unsigned i = 0; i < bytes; ++i) {
         Page &p = pageFor(addr + i);
-        undoHook(p, (addr + i) / PageBytes);
+        undoHook(p, addr + i, 1);
         p.bytes[(addr + i) % PageBytes] = (value >> (8 * i)) & 0xff;
         if (p.codeCached)
             notifyCodeWrite(p, (addr + i) / PageBytes);
@@ -242,9 +252,9 @@ MainMemory::writeBlock(Addr addr, const uint8_t *src, size_t len)
 {
     while (len) {
         Page &p = pageFor(addr);
-        undoHook(p, addr / PageBytes);
         uint64_t off = addr % PageBytes;
         size_t chunk = std::min<size_t>(len, PageBytes - off);
+        undoHook(p, addr, chunk);
         std::memcpy(&p.bytes[off], src, chunk);
         if (p.codeCached)
             notifyCodeWrite(p, addr / PageBytes);

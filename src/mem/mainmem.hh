@@ -16,9 +16,10 @@
  *
  * The checkpoint subsystem reuses the same write-hook structure as a
  * copy-on-write undo log: while the log is active, the first store to
- * any page since the last checkpoint captures that page's pre-image, so
- * snapshot cost is proportional to the pages dirtied between
- * checkpoints, never to total memory size (see src/replay/).
+ * any 64-byte line since the last checkpoint captures that line's
+ * pre-image, so snapshot cost is proportional to the lines stores
+ * touched between checkpoints, never to page or total memory size
+ * (see src/replay/).
  */
 
 #ifndef DISE_MEM_MAINMEM_HH
@@ -51,20 +52,32 @@ class CodeWatcher
     virtual void onCodeWrite(uint64_t frame) = 0;
 };
 
+/** Capture granularity of the copy-on-write undo log. */
+constexpr uint64_t UndoLineBytes = 64;
+static_assert(PageBytes / UndoLineBytes == 64,
+              "a page's captured-line mask is exactly one uint64_t");
+
 /**
- * Pre-image of one page captured by the copy-on-write undo log: the
- * page's full contents as they were when the current undo interval
- * began. Applying an interval's pre-images rolls memory back to the
- * state at the start of that interval.
+ * Pre-image of one line captured by the copy-on-write undo log: the
+ * line's contents as they were when the current undo interval began.
+ * Applying an interval's pre-images rolls memory back to the state at
+ * the start of that interval.
  */
-struct UndoPage
+struct UndoLine
 {
-    uint64_t frame = 0;
-    std::array<uint8_t, PageBytes> bytes{};
+    Addr addr = 0; ///< first byte of the line
+    std::array<uint8_t, UndoLineBytes> bytes{};
 };
 
 /** All pre-images captured during one undo interval. */
-using UndoLog = std::vector<UndoPage>;
+struct UndoLog
+{
+    std::vector<UndoLine> lines;
+    /** Distinct pages first dirtied in the interval. */
+    uint64_t pages = 0;
+
+    uint64_t bytes() const { return lines.size() * UndoLineBytes; }
+};
 
 /** Sparse functional memory. */
 class MainMemory
@@ -111,12 +124,12 @@ class MainMemory
     void endUndoLog();
     bool undoLogActive() const { return undoActive_; }
     /**
-     * Seal the current interval: return the pre-images of every page
+     * Seal the current interval: return the pre-images of every line
      * dirtied since the interval began and start a new, empty interval.
      */
     UndoLog sealUndoInterval();
     /** Pages dirtied so far in the open interval. */
-    size_t undoPagesPending() const { return undoLog_.size(); }
+    size_t undoPagesPending() const { return undoLog_.pages; }
     /**
      * Read-only view of the open interval's pre-images (no seal, no
      * state change). Interval-parallel replay materializes historical
@@ -134,9 +147,10 @@ class MainMemory
     void copyImageFrom(const MainMemory &src);
     /**
      * Write an interval's pre-images back, newest interval first when
-     * chaining across checkpoints. Restored pages are treated as clean
-     * for the open interval, code-watcher invalidation fires for pages
-     * holding cached decodes, and the page-pointer caches are dropped.
+     * chaining across checkpoints. Pages holding restored lines are
+     * treated as clean for the open interval, code-watcher
+     * invalidation fires for pages holding cached decodes, and the
+     * page-pointer caches are dropped.
      */
     void applyUndo(const UndoLog &log);
     ///@}
@@ -173,21 +187,34 @@ class MainMemory
         uint8_t bytes[PageBytes] = {};
         /** Writes to this page notify the registered CodeWatchers. */
         bool codeCached = false;
-        /** Undo interval this page's pre-image was last captured in. */
+        /** Undo interval undoLines refers to. */
         uint64_t undoEpoch = 0;
+        /** Lines (bit i = bytes [64i, 64i+64)) captured in undoEpoch. */
+        uint64_t undoLines = 0;
     };
 
     Page &pageFor(Addr addr);
     const Page *pageForConst(Addr addr) const;
     void notifyCodeWrite(Page &page, uint64_t frame);
-    void captureUndo(Page &page, uint64_t frame);
+    void captureUndo(Page &page, Addr addr, uint64_t lines);
 
-    /** First write to @p page this interval: capture its pre-image. */
+    /**
+     * A write of @p len bytes at @p addr, all within @p page, is about
+     * to land: capture the pre-image of each line it covers that this
+     * interval has not captured yet.
+     */
     void
-    undoHook(Page &page, uint64_t frame)
+    undoHook(Page &page, Addr addr, uint64_t len)
     {
-        if (undoActive_ && page.undoEpoch != undoEpoch_)
-            captureUndo(page, frame);
+        if (!undoActive_)
+            return;
+        uint64_t off = addr % PageBytes;
+        uint64_t first = off / UndoLineBytes;
+        uint64_t last = (off + len - 1) / UndoLineBytes;
+        // Bits first..last; unsigned wrap makes last == 63 come out right.
+        uint64_t lines = (uint64_t{2} << last) - (uint64_t{1} << first);
+        if (page.undoEpoch != undoEpoch_ || (page.undoLines & lines) != lines)
+            captureUndo(page, addr, lines);
     }
 
     std::unordered_map<uint64_t, std::unique_ptr<Page>> pages_;
@@ -195,8 +222,8 @@ class MainMemory
     std::vector<CodeWatcher *> codeWatchers_;
 
     // Copy-on-write undo log. The epoch is monotonic across intervals;
-    // a page's pre-image is captured when its undoEpoch lags the
-    // current interval's.
+    // a page whose undoEpoch lags the current interval's has captured
+    // none of its lines yet.
     bool undoActive_ = false;
     uint64_t undoEpoch_ = 0;
     UndoLog undoLog_;

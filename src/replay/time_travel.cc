@@ -242,7 +242,8 @@ TimeTravel::takeCheckpoint()
         // Seal the interval since the previous checkpoint: those
         // pre-images are what roll the memory image back to it.
         UndoLog sealed = target_.mem.sealUndoInterval();
-        stats_.pagesCopied += sealed.size();
+        stats_.pagesCopied += sealed.pages;
+        stats_.bytesCopied += sealed.bytes();
         cps_.back().undo = std::move(sealed);
     }
     cps_.push_back(std::move(cp));
@@ -279,11 +280,13 @@ TimeTravel::restoreTo(size_t cpIdx)
     // interval takes us to the newest checkpoint, then each stored
     // interval takes us one checkpoint further into the past.
     UndoLog open = mem.sealUndoInterval();
-    stats_.pagesRestored += open.size();
+    stats_.pagesRestored += open.pages;
+    stats_.bytesRestored += open.bytes();
     mem.applyUndo(open);
     for (size_t i = cps_.size() - 1; i > cpIdx; --i) {
         const UndoLog &u = cps_[i - 1].undo;
-        stats_.pagesRestored += u.size();
+        stats_.pagesRestored += u.pages;
+        stats_.bytesRestored += u.bytes();
         mem.applyUndo(u);
     }
 
@@ -319,7 +322,7 @@ TimeTravel::restoreTo(size_t cpIdx)
     // This checkpoint's interval was consumed; it is the open interval
     // now. Checkpoints past it describe a future we just left.
     cps_.resize(cpIdx + 1);
-    cps_.back().undo.clear();
+    cps_.back().undo = UndoLog{};
     nextCheckpointAt_ = cps_.back().appInsts + cfg_.checkpointInterval;
     seenRecorded_ = backend_.eventsRecorded();
 }
@@ -509,7 +512,7 @@ TimeTravel::travelBegin(TravelVerb verb, uint64_t count, bool &done)
         break;
     }
 
-    // The restore is the cheap part (cost ∝ pages dirtied since the
+    // The restore is the cheap part (cost ∝ lines dirtied since the
     // target checkpoint); the replay that follows is what travelStep
     // meters out in quanta.
     if (travel_.byTime && travel_.targetTime < time_) {

@@ -8,8 +8,8 @@
  * (watchpoint, breakpoint, protection violation) is pinned to an exact
  * stream position in the ReplayLog's event timeline. Periodic
  * checkpoints capture registers, the backend's host-side state, and —
- * via MainMemory's copy-on-write undo log — only the pages dirtied
- * since the previous checkpoint.
+ * via MainMemory's copy-on-write undo log — only the 64-byte lines
+ * dirtied since the previous checkpoint.
  *
  * Reverse operations (reverseContinue / reverseStep / runToEvent) are
  * restore-and-replay: roll memory back through the undo intervals to
@@ -218,9 +218,11 @@ class TimeTravel
     struct Stats
     {
         uint64_t checkpointsTaken = 0;
-        uint64_t pagesCopied = 0; ///< undo pre-images captured
+        uint64_t pagesCopied = 0; ///< pages dirtied, once per interval
+        uint64_t bytesCopied = 0; ///< undo pre-image bytes captured
         uint64_t restores = 0;
         uint64_t pagesRestored = 0;
+        uint64_t bytesRestored = 0;
         uint64_t replayedUops = 0; ///< µops re-executed by travel
         uint64_t uops = 0;         ///< total µops executed (incl. replay)
     };

@@ -1228,7 +1228,9 @@ DebugSession::stats() const
         s.events = tt.eventCount();
         s.checkpoints = tt.checkpointCount();
         s.pagesCopied = ts->pagesCopied;
+        s.undoBytes = ts->bytesCopied;
         s.restores = ts->restores;
+        s.undoBytesRestored = ts->bytesRestored;
         s.replayedUops = ts->replayedUops;
     } else if (debugger_) {
         s.events = debugger_->backend().totalEvents();

@@ -739,7 +739,9 @@ encodeResponse(const Response &resp)
         w.num("st.events", resp.stats.events);
         w.num("st.cps", resp.stats.checkpoints);
         w.num("st.pages", resp.stats.pagesCopied);
+        w.num("st.undo_bytes", resp.stats.undoBytes);
         w.num("st.restores", resp.stats.restores);
+        w.num("st.undo_restored", resp.stats.undoBytesRestored);
         w.num("st.replayed", resp.stats.replayedUops);
     }
     if (resp.inReplyTo == RequestKind::ServerStats) {
@@ -873,7 +875,9 @@ decodeResponse(const std::string &line, Response &resp, std::string *err)
         if (r.num("st.cps", v))
             resp.stats.checkpoints = v;
         r.num("st.pages", resp.stats.pagesCopied);
+        r.num("st.undo_bytes", resp.stats.undoBytes);
         r.num("st.restores", resp.stats.restores);
+        r.num("st.undo_restored", resp.stats.undoBytesRestored);
         r.num("st.replayed", resp.stats.replayedUops);
     }
     if (resp.inReplyTo == RequestKind::ServerStats) {
@@ -1018,6 +1022,7 @@ Response::describe() const
         os << " t=" << stats.time << " insts=" << stats.appInsts
            << " events=" << stats.events << " checkpoints="
            << stats.checkpoints << " pagesCopied=" << stats.pagesCopied
+           << " undoBytes=" << stats.undoBytes
            << " restores=" << stats.restores;
     if (inReplyTo == RequestKind::ServerStats)
         os << " sessions=" << server.activeSessions << " (peak "

@@ -143,7 +143,9 @@ struct SessionStats
     size_t events = 0;       ///< timeline events discovered
     size_t checkpoints = 0;
     uint64_t pagesCopied = 0;
+    uint64_t undoBytes = 0;         ///< undo pre-image bytes captured
     uint64_t restores = 0;
+    uint64_t undoBytesRestored = 0; ///< undo pre-image bytes written back
     uint64_t replayedUops = 0;
 };
 

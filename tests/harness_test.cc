@@ -32,18 +32,29 @@ TEST(HarnessArgs, ParsesEverything)
     EXPECT_TRUE(o.csv);
 }
 
-TEST(HarnessArgs, UnknownOptionFatal)
+// A bad command line is a usage error: one stderr line, exit 2.
+TEST(HarnessArgs, UnknownOptionIsUsageError)
 {
     const char *argv[] = {"bench", "--bogus"};
-    EXPECT_THROW(parseHarnessArgs(2, const_cast<char **>(argv)),
-                 FatalError);
+    EXPECT_EXIT(parseHarnessArgs(2, const_cast<char **>(argv)),
+                testing::ExitedWithCode(2), "unknown option '--bogus'");
 }
 
-TEST(HarnessArgs, MissingValueFatal)
+TEST(HarnessArgs, MissingValueIsUsageError)
 {
     const char *argv[] = {"bench", "--scale"};
-    EXPECT_THROW(parseHarnessArgs(2, const_cast<char **>(argv)),
-                 FatalError);
+    EXPECT_EXIT(parseHarnessArgs(2, const_cast<char **>(argv)),
+                testing::ExitedWithCode(2), "missing value for --scale");
+}
+
+TEST(HarnessArgs, BadScaleIsUsageError)
+{
+    for (const char *bad : {"0", "x", "3x", "", "-1"}) {
+        const char *argv[] = {"bench", "--scale", bad};
+        EXPECT_EXIT(parseHarnessArgs(3, const_cast<char **>(argv)),
+                    testing::ExitedWithCode(2), "--scale wants")
+            << "--scale '" << bad << "'";
+    }
 }
 
 TEST(Runner, BaselineIsCachedAndStable)

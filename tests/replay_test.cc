@@ -42,7 +42,7 @@ TEST(UndoLog, CostProportionalToDirtyPagesNotFootprint)
             mem.write(0x10000 + p * PageBytes, 8, rep);
     EXPECT_EQ(mem.undoPagesPending(), 3u);
     UndoLog log = mem.sealUndoInterval();
-    EXPECT_EQ(log.size(), 3u);
+    EXPECT_EQ(log.pages, 3u);
 
     // The next interval captures them afresh.
     mem.write(0x10000, 8, 7);
@@ -62,7 +62,7 @@ TEST(UndoLog, ApplyRestoresPreImages)
     mem.write(0x8000, 8, 0xbbbb);
     mem.write(0xc000, 8, 0xcccc); // page that did not exist before
     UndoLog log = mem.sealUndoInterval();
-    EXPECT_EQ(log.size(), 3u);
+    EXPECT_EQ(log.pages, 3u);
 
     mem.applyUndo(log);
     EXPECT_EQ(mem.read(0x4000, 8), 0x1111u);
@@ -101,6 +101,183 @@ TEST(UndoLog, RestoreNotifiesCodeWatchers)
     EXPECT_EQ(rec.frames[1], 0x4000u / PageBytes);
     EXPECT_EQ(mem.read(0x4000, 4), 0x1234u);
     mem.removeCodeWatcher(&rec);
+    mem.endUndoLog();
+}
+
+// --------------------------------------- sub-page undo-log edge cases
+
+/** Memory with a recognizable nonzero pattern over [base, base+len). */
+MainMemory
+patterned(Addr base, size_t len)
+{
+    MainMemory mem;
+    std::vector<uint8_t> bytes(len);
+    for (size_t i = 0; i < len; ++i)
+        bytes[i] = static_cast<uint8_t>(i * 7 + 1);
+    mem.writeBlock(base, bytes.data(), len);
+    return mem;
+}
+
+std::vector<uint8_t>
+snapshot(const MainMemory &mem, Addr base, size_t len)
+{
+    std::vector<uint8_t> out(len);
+    mem.readBlock(base, out.data(), len);
+    return out;
+}
+
+/**
+ * Run @p stores inside one fresh undo interval over a patterned
+ * three-page region, check the interval's line and page counts, then
+ * apply it and check every byte (and the whole image) is back.
+ */
+template <typename Stores>
+void
+expectUndoRoundTrip(Stores stores, size_t lines, uint64_t pages)
+{
+    const Addr base = 0x10000;
+    const size_t len = 3 * PageBytes;
+    MainMemory mem = patterned(base, len);
+    std::vector<uint8_t> before = snapshot(mem, base, len);
+    uint64_t hashBefore = mem.contentHash();
+
+    mem.beginUndoLog();
+    stores(mem, base);
+    EXPECT_EQ(mem.undoPagesPending(), pages);
+    UndoLog log = mem.sealUndoInterval();
+    EXPECT_EQ(log.lines.size(), lines);
+    EXPECT_EQ(log.pages, pages);
+    EXPECT_EQ(log.bytes(), lines * UndoLineBytes);
+
+    mem.applyUndo(log);
+    EXPECT_EQ(snapshot(mem, base, len), before);
+    EXPECT_EQ(mem.contentHash(), hashBefore);
+    mem.endUndoLog();
+}
+
+TEST(UndoLog, StoreStraddlingTwoLines)
+{
+    expectUndoRoundTrip(
+        [](MainMemory &mem, Addr base) {
+            mem.write(base + 60, 8, ~0ull); // bytes 60..67
+        },
+        2, 1);
+}
+
+TEST(UndoLog, StoreStraddlingTwoPages)
+{
+    expectUndoRoundTrip(
+        [](MainMemory &mem, Addr base) {
+            mem.write(base + 4092, 8, ~0ull); // bytes 4092..4099
+        },
+        2, 2);
+}
+
+TEST(UndoLog, WriteBlockCoversSeveralLinesAndPages)
+{
+    expectUndoRoundTrip(
+        [](MainMemory &mem, Addr base) {
+            // Offset 100 of page 0 to offset 1003 of page 1: lines
+            // 1..63 of page 0 and 0..15 of page 1.
+            std::vector<uint8_t> junk(5000, 0xee);
+            mem.writeBlock(base + 100, junk.data(), junk.size());
+        },
+        63 + 16, 2);
+}
+
+TEST(UndoLog, RepeatedStoresToOneLineCaptureOncePerInterval)
+{
+    expectUndoRoundTrip(
+        [](MainMemory &mem, Addr base) {
+            for (int rep = 0; rep < 100; ++rep)
+                mem.write(base + PageBytes + 64 + 8 * (rep % 8), 8, rep);
+        },
+        1, 1);
+
+    MainMemory mem;
+    mem.beginUndoLog();
+    mem.write(0x4000, 8, 1);
+    mem.write(0x4008, 8, 2);
+    EXPECT_EQ(mem.sealUndoInterval().lines.size(), 1u);
+    // The next interval captures the line afresh.
+    mem.write(0x4010, 8, 3);
+    EXPECT_EQ(mem.pendingUndo().lines.size(), 1u);
+    EXPECT_EQ(mem.undoPagesPending(), 1u);
+    mem.endUndoLog();
+}
+
+TEST(UndoLog, StoreCreatingAnAbsentPage)
+{
+    MainMemory mem;
+    mem.write(0x4000, 8, 0x1111);
+    uint64_t hashBefore = mem.contentHash();
+    size_t pagesBefore = mem.pageCount();
+
+    mem.beginUndoLog();
+    mem.write(0x9010, 8, 0xcccc); // page 9 did not exist
+    UndoLog log = mem.sealUndoInterval();
+    EXPECT_EQ(mem.pageCount(), pagesBefore + 1);
+    ASSERT_EQ(log.lines.size(), 1u);
+    EXPECT_EQ(log.lines[0].addr, 0x9000u);
+    EXPECT_EQ(log.pages, 1u);
+
+    mem.applyUndo(log);
+    EXPECT_EQ(mem.read(0x9010, 8), 0u);
+    EXPECT_EQ(mem.read(0x4000, 8), 0x1111u);
+    // An all-zero page digests like an absent one.
+    EXPECT_EQ(mem.contentHash(), hashBefore);
+    mem.endUndoLog();
+}
+
+TEST(UndoLog, RestoringSeveralLinesOfACodePageNotifiesOnce)
+{
+    struct Recorder : CodeWatcher
+    {
+        std::vector<uint64_t> frames;
+        void onCodeWrite(uint64_t frame) override
+        {
+            frames.push_back(frame);
+        }
+    } rec;
+
+    MainMemory mem = patterned(0x4000, PageBytes);
+    std::vector<uint8_t> before = snapshot(mem, 0x4000, PageBytes);
+    mem.addCodeWatcher(&rec);
+    mem.beginUndoLog();
+    for (Addr off : {0u, 128u, 1024u, 4032u})
+        mem.write(0x4000 + off, 4, 0x5678);
+    UndoLog log = mem.sealUndoInterval();
+    ASSERT_EQ(log.lines.size(), 4u);
+
+    mem.markCodePage(0x4000); // decodes cached after the writes
+    mem.applyUndo(log);
+    // The first restored line invalidates the page; the rest find it
+    // unmarked until a watcher re-caches it.
+    ASSERT_EQ(rec.frames.size(), 1u);
+    EXPECT_EQ(rec.frames[0], 0x4000u / PageBytes);
+    EXPECT_EQ(snapshot(mem, 0x4000, PageBytes), before);
+    mem.removeCodeWatcher(&rec);
+    mem.endUndoLog();
+}
+
+TEST(UndoLog, SparseStoresCaptureLinesNotPages)
+{
+    MainMemory mem;
+    for (uint64_t p = 0; p < 512; ++p)
+        mem.write(0x10000 + p * PageBytes, 8, p + 1);
+
+    mem.beginUndoLog();
+    // mcf-style: one small store into each of many pages.
+    for (uint64_t p = 0; p < 512; ++p)
+        mem.write(0x10000 + p * PageBytes + 24, 8, ~p);
+    UndoLog log = mem.sealUndoInterval();
+    EXPECT_EQ(log.pages, 512u);
+    EXPECT_EQ(log.lines.size(), 512u);
+    EXPECT_EQ(log.bytes(), 512u * UndoLineBytes);
+
+    mem.applyUndo(log);
+    for (uint64_t p = 0; p < 512; ++p)
+        ASSERT_EQ(mem.read(0x10000 + p * PageBytes, 8), p + 1);
     mem.endUndoLog();
 }
 
@@ -166,6 +343,24 @@ TEST(Replay, CheckpointRestoreRerunEquivalence)
     EXPECT_EQ(end2.time, end.time);
     EXPECT_EQ(s.tt().eventCount(), events);
     EXPECT_EQ(s.tt().digest(), endDigest);
+}
+
+TEST(Replay, UndoByteCountersAreLineGranular)
+{
+    Session s(BackendKind::Dise, 300);
+    StopInfo end = s.tt().runToEnd();
+    ASSERT_EQ(end.reason, StopReason::Halted);
+    s.tt().reverseStep(end.appInsts - 5);
+    const TimeTravel::Stats &st = s.tt().stats();
+    ASSERT_GT(st.pagesCopied, 0u);
+    ASSERT_GT(st.pagesRestored, 0u);
+    EXPECT_EQ(st.bytesCopied % UndoLineBytes, 0u);
+    EXPECT_EQ(st.bytesRestored % UndoLineBytes, 0u);
+    // At least one line per page, at most a whole page.
+    EXPECT_GE(st.bytesCopied, st.pagesCopied * UndoLineBytes);
+    EXPECT_LE(st.bytesCopied, st.pagesCopied * PageBytes);
+    EXPECT_GE(st.bytesRestored, st.pagesRestored * UndoLineBytes);
+    EXPECT_LE(st.bytesRestored, st.pagesRestored * PageBytes);
 }
 
 TEST(Replay, ReverseStepIsExact)

@@ -140,6 +140,29 @@ TEST(SessionProtocol, ResponseRoundTrip)
     EXPECT_EQ(back.error, "no experiment: INDIRECT under vm");
 }
 
+TEST(SessionProtocol, StatsReplyRoundTripsUndoBytes)
+{
+    Response resp;
+    resp.inReplyTo = RequestKind::Stats;
+    resp.stats.time = 700;
+    resp.stats.appInsts = 650;
+    resp.stats.checkpoints = 4;
+    resp.stats.pagesCopied = 438;
+    resp.stats.undoBytes = 438 * 64 + 128;
+    resp.stats.restores = 2;
+    resp.stats.undoBytesRestored = 3 * 64;
+    resp.stats.replayedUops = 99;
+    std::string wire = encodeResponse(resp);
+    EXPECT_NE(wire.find("st.undo_bytes=28160"), std::string::npos) << wire;
+    Response back;
+    ASSERT_TRUE(decodeResponse(wire, back));
+    EXPECT_EQ(back.stats.pagesCopied, 438u);
+    EXPECT_EQ(back.stats.undoBytes, 438u * 64 + 128);
+    EXPECT_EQ(back.stats.restores, 2u);
+    EXPECT_EQ(back.stats.undoBytesRestored, 3u * 64);
+    EXPECT_EQ(back.stats.replayedUops, 99u);
+}
+
 TEST(SessionProtocol, ServerStatsHistogramsRoundTrip)
 {
     Response resp;
