@@ -325,6 +325,12 @@ encodeImage(const SessionImage &img)
     w.u32(static_cast<uint32_t>(img.mutedBreaks.size()));
     for (int32_t i : img.mutedBreaks)
         w.i32(i);
+    w.u32(static_cast<uint32_t>(img.installedWatches.size()));
+    for (int32_t i : img.installedWatches)
+        w.i32(i);
+    w.u32(static_cast<uint32_t>(img.installedBreaks.size()));
+    for (int32_t i : img.installedBreaks)
+        w.i32(i);
     w.u32(static_cast<uint32_t>(img.pokes.size()));
     for (const SessionImage::Poke &p : img.pokes) {
         w.u8(p.isReg);
@@ -457,6 +463,14 @@ decodeImage(const uint8_t *data, size_t n, SessionImage &out,
     out.mutedBreaks.resize(r.ok() ? nmb : 0);
     for (int32_t &i : out.mutedBreaks)
         i = r.i32();
+    uint32_t niw = r.count(4, "installed watch list");
+    out.installedWatches.resize(r.ok() ? niw : 0);
+    for (int32_t &i : out.installedWatches)
+        i = r.i32();
+    uint32_t nib = r.count(4, "installed break list");
+    out.installedBreaks.resize(r.ok() ? nib : 0);
+    for (int32_t &i : out.installedBreaks)
+        i = r.i32();
     uint32_t np = r.count(25, "poke list");
     out.pokes.resize(r.ok() ? np : 0);
     for (SessionImage::Poke &p : out.pokes) {
@@ -534,6 +548,18 @@ decodeImage(const uint8_t *data, size_t n, SessionImage &out,
         return fail(ImageErr::Malformed,
                     std::to_string(r.remaining()) +
                         " trailing bytes after the payload");
+    // Resurrection installs exactly these specs, in this order.
+    auto indexes = [](const std::vector<int32_t> &idx, size_t n) {
+        for (size_t i = 0; i < idx.size(); ++i)
+            if (idx[i] < 0 || static_cast<size_t>(idx[i]) >= n ||
+                (i && idx[i] <= idx[i - 1]))
+                return false;
+        return true;
+    };
+    if (!indexes(out.installedWatches, out.watches.size()) ||
+        !indexes(out.installedBreaks, out.breaks.size()))
+        return fail(ImageErr::Malformed,
+                    "installed spec set does not index the spec list");
     return ImageErr::None;
 }
 

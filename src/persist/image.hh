@@ -76,6 +76,11 @@ struct SessionImage
     std::vector<BreakSpec> breaks;
     std::vector<int32_t> mutedWatches;
     std::vector<int32_t> mutedBreaks;
+    /** Session indices of the specs the attached machinery installed,
+     *  ascending. A spec removed after attach is muted but stays
+     *  installed, so this is not the complement of the mute sets. */
+    std::vector<int32_t> installedWatches;
+    std::vector<int32_t> installedBreaks;
 
     /** Initial-state pokes (applied between load and prime). */
     struct Poke
@@ -116,8 +121,9 @@ enum class ImageErr : uint8_t {
 
 const char *imageErrName(ImageErr err);
 
-/** v2 added tool-enable/disable interventions and tool digests. */
-constexpr uint32_t kImageVersion = 2;
+/** v2 added tool-enable/disable interventions and tool digests; v3
+ *  the installed spec sets. */
+constexpr uint32_t kImageVersion = 3;
 
 /** FNV-1a 64 (the persistence layer's integrity hash). */
 uint64_t fnv64(const uint8_t *data, size_t n);

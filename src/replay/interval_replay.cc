@@ -14,19 +14,17 @@ namespace dise {
 IntervalReplay::IntervalReplay(TimeTravel &tt, DebugTarget &live,
                                DebugBackend &liveBackend,
                                const ReplayLog &log,
-                               ReplicaFactory factory, Options opts)
+                               ReplicaFactory factory)
     : tt_(tt), live_(live), liveBackend_(liveBackend), log_(log),
-      factory_(std::move(factory)), opts_(opts)
+      factory_(std::move(factory))
 {
     DISE_ASSERT(factory_, "IntervalReplay needs a replica factory");
     const auto &cps = tt_.checkpoints();
     DISE_ASSERT(!cps.empty(), "no checkpoints to replay from");
-    // Cut the checkpoint list into `pieces` contiguous ranges of
+    // Cut the checkpoint list into kPieces contiguous ranges of
     // near-equal length; the last range runs to the live position.
-    // With stealing on this is only the seed cut — idle workers
-    // re-split in-flight ranges at checkpoint granularity.
     size_t pieces =
-        std::max<size_t>(1, std::min<size_t>(opts_.pieces, cps.size()));
+        std::max<size_t>(1, std::min<size_t>(kPieces, cps.size()));
     for (size_t p = 0; p < pieces; ++p) {
         size_t lo = p * cps.size() / pieces;
         size_t hi = (p + 1) * cps.size() / pieces;
@@ -50,108 +48,44 @@ IntervalReplay::makePool() const
 
 IntervalReplay::Pool::Pool(const IntervalReplay &owner) : owner_(owner)
 {
-    for (const Interval &iv : owner_.plan_)
-        pending_.push_back(iv);
 }
 
-std::unique_ptr<IntervalReplay::Worker>
-IntervalReplay::Pool::claim()
+bool
+IntervalReplay::Pool::drive(std::unique_ptr<Worker> &lane,
+                            uint64_t maxUops)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    Interval iv;
-    if (!pending_.empty()) {
-        iv = pending_.front();
-        pending_.pop_front();
-    } else if (owner_.opts_.steal) {
-        // Split the largest in-flight range: take its far half, from
-        // the midpoint of what the victim has not yet reached. The
-        // victim re-reads its end under this lock at every checkpoint
-        // boundary, so it stops exactly at the handoff.
-        auto victim = active_.end();
-        size_t best = 1; // a single checkpoint interval is not worth it
-        for (auto it = active_.begin(); it != active_.end(); ++it) {
-            size_t remaining = it->second.end - it->second.progress;
-            if (remaining > best) {
-                best = remaining;
-                victim = it;
-            }
-        }
-        if (victim == active_.end())
-            return nullptr; // nothing splittable left in flight
-        const auto &cps = owner_.tt_.checkpoints();
-        size_t mid = victim->second.progress + (best + 1) / 2;
-        iv.cpFrom = mid;
-        iv.cpTo = victim->second.end;
-        iv.fromTime = cps[mid].time;
-        iv.fromInsts = cps[mid].appInsts;
-        iv.toTime = iv.cpTo < cps.size() ? cps[iv.cpTo].time
-                                         : owner_.tt_.time();
-        iv.stolen = true;
-        victim->second.end = mid;
-        ++steals_;
-    } else {
-        return nullptr;
+    bool claimed = false;
+    if (!lane) {
+        std::lock_guard<std::mutex> lk(mu_);
+        if (next_ == owner_.plan_.size())
+            return true;
+        lane.reset(new Worker(owner_, owner_.plan_[next_++]));
+        claimed = true;
     }
-    iv.index = nextIndex_++;
-    iv.slot = nextSlot_++;
-    active_[iv.slot] = Active{iv.cpFrom, iv.cpTo};
-    return std::unique_ptr<Worker>(new Worker(owner_, iv, this));
-}
-
-size_t
-IntervalReplay::Pool::checkpointReached(unsigned slot, size_t cp)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = active_.find(slot);
-    DISE_ASSERT(it != active_.end(), "boundary publish on a retired "
-                                     "pool slot");
-    it->second.progress = cp;
-    return it->second.end;
-}
-
-void
-IntervalReplay::Pool::complete(const Worker &w)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    active_.erase(w.interval_.slot);
-    done_.push_back(w.interval_);
-}
-
-void
-IntervalReplay::Pool::abandon(const Worker &w, const std::string &error)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    active_.erase(w.interval_.slot);
-    if (error_.empty())
-        error_ = "range [" + std::to_string(w.interval_.cpFrom) + "," +
-                 std::to_string(w.interval_.cpTo) + "): " + error;
-}
-
-std::vector<IntervalReplay::Interval>
-IntervalReplay::Pool::take()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return std::move(done_);
-}
-
-uint64_t
-IntervalReplay::Pool::steals() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return steals_;
-}
-
-const std::string &
-IntervalReplay::Pool::error() const
-{
-    return error_;
+    try {
+        // Materializing the start state is its own unit of work.
+        if (claimed) {
+            lane->prepare();
+        } else if (lane->step(maxUops)) {
+            std::lock_guard<std::mutex> lk(mu_);
+            done_.push_back(lane->interval_);
+            lane.reset();
+        }
+    } catch (const std::exception &e) {
+        std::lock_guard<std::mutex> lk(mu_);
+        if (error_.empty())
+            error_ = "range [" + std::to_string(lane->interval_.cpFrom) +
+                     "," + std::to_string(lane->interval_.cpTo) +
+                     "): " + e.what();
+        lane.reset();
+    }
+    return false;
 }
 
 // --------------------------------------------------------------- worker
 
-IntervalReplay::Worker::Worker(const IntervalReplay &owner, Interval iv,
-                               Pool *pool)
-    : owner_(owner), interval_(iv), pool_(pool)
+IntervalReplay::Worker::Worker(const IntervalReplay &owner, Interval iv)
+    : owner_(owner), interval_(iv)
 {
 }
 
@@ -208,7 +142,7 @@ void
 IntervalReplay::Worker::prepare()
 {
     TRACE_SPAN("replay", "ireplay.prepare");
-    DISE_ASSERT(!prepared_, "worker already prepared");
+    DISE_ASSERT(!stream_, "worker already prepared");
     if (!owner_.factory_(target_, debugger_))
         throw std::runtime_error(
             "interval replay: machinery rebuild failed");
@@ -264,7 +198,6 @@ IntervalReplay::Worker::prepare()
 
     time_ = cp.time;
     appInsts_ = cp.appInsts;
-    nextCp_ = interval_.cpFrom + 1;
     seenWatch_ = cp.host.watchEvents;
     seenBreak_ = cp.host.breakEvents;
     seenProt_ = cp.host.protectionEvents;
@@ -275,7 +208,6 @@ IntervalReplay::Worker::prepare()
     stream_ = std::make_unique<InstStream>(target_->arch, target_->mem,
                                            &target_->engine,
                                            backend.streamEnv(*target_));
-    prepared_ = true;
 }
 
 void
@@ -316,7 +248,7 @@ bool
 IntervalReplay::Worker::step(uint64_t maxUops)
 {
     TRACE_SPAN("replay", "ireplay.step");
-    DISE_ASSERT(prepared_, "step() before prepare()");
+    DISE_ASSERT(stream_, "step() before prepare()");
     const auto &ivs = owner_.log_.interventions;
     const auto &cps = owner_.tt_.checkpoints();
     uint64_t budget = maxUops ? maxUops : ~uint64_t{0};
@@ -351,21 +283,6 @@ IntervalReplay::Worker::step(uint64_t maxUops)
         if (op.isAppInst())
             ++appInsts_;
         pollEvents();
-        // Checkpoint boundary: publish progress and honor a steal
-        // that shrank this range. A thief only ever takes checkpoints
-        // beyond the published progress, so the shrunk end is always
-        // still ahead — or exactly here, ending the range cleanly at
-        // the boundary it was cut at.
-        if (pool_ && nextCp_ < interval_.cpTo &&
-            time_ == cps[nextCp_].time) {
-            size_t end = pool_->checkpointReached(interval_.slot,
-                                                  nextCp_);
-            if (end != interval_.cpTo) {
-                interval_.cpTo = end;
-                interval_.toTime = cps[end].time;
-            }
-            ++nextCp_;
-        }
     }
     if (time_ < interval_.toTime)
         return false; // budget expired; call step() again
@@ -386,46 +303,36 @@ IntervalReplay::Report
 IntervalReplay::run(unsigned workers) const
 {
     Pool pool(*this);
-    auto work = [&] {
-        for (;;) {
-            std::unique_ptr<Worker> w = pool.claim();
-            if (!w)
-                return;
-            try {
-                w->prepare();
-                while (!w->step(opts_.sliceUops)) {
-                }
-                pool.complete(*w);
-            } catch (const std::exception &e) {
-                pool.abandon(*w, e.what());
-            }
+    auto lane = [&] {
+        std::unique_ptr<Worker> w;
+        while (!pool.drive(w, kSliceUops)) {
         }
     };
-
-    // More threads than checkpoints can never all find work; beyond
-    // that, stealing lets any worker count profit from any cut.
+    // More threads than ranges could never all find work.
     unsigned n = std::max<size_t>(
-        1, std::min<size_t>(workers ? workers : 1,
-                            tt_.checkpoints().size()));
+        1, std::min<size_t>(workers ? workers : 1, plan_.size()));
     if (n == 1) {
-        work();
+        lane();
     } else {
-        std::vector<std::thread> pool_threads;
+        std::vector<std::thread> threads;
         for (unsigned i = 0; i < n; ++i)
-            pool_threads.emplace_back(work);
-        for (auto &t : pool_threads)
+            threads.emplace_back(lane);
+        for (auto &t : threads)
             t.join();
     }
-
-    uint64_t steals = pool.steals();
-    std::string err = pool.error();
-    Report r = stitch(pool.take());
+    Report r = finish(pool);
     r.workers = n;
-    r.steals = steals;
-    if (!err.empty()) {
+    return r;
+}
+
+IntervalReplay::Report
+IntervalReplay::finish(Pool &pool) const
+{
+    std::lock_guard<std::mutex> lk(pool.mu_);
+    Report r = stitch(std::move(pool.done_));
+    if (!pool.error_.empty()) {
         r.ok = false;
-        if (r.error.empty())
-            r.error = err;
+        r.error = pool.error_;
     }
     return r;
 }
@@ -447,8 +354,7 @@ IntervalReplay::stitch(std::vector<Interval> results) const
         r.uopsReplayed += iv.uopsReplayed;
         r.marksVerified += iv.marksVerified;
         // Full coverage: the sorted chunks must tile the checkpoint
-        // list exactly, whatever mix of planned and stolen ranges
-        // executed them.
+        // list exactly.
         size_t wantFrom = i == 0 ? 0 : r.intervals[i - 1].cpTo;
         if (iv.cpFrom != wantFrom) {
             r.ok = false;

@@ -17,20 +17,18 @@
  * Fanned out across workers this turns an O(trace) serial
  * reconstruction into O(trace/workers) wall time; the results are
  * stitched deterministically by digest: chunk k's end-state digest
- * must equal the start-state digest of the chunk that begins at k's
- * last checkpoint, and the final chunk's end digest must equal the
- * live session's digest bit-for-bit. Any mismatch means determinism
- * was broken — the whole point of running the reconstruction.
+ * must equal the start-state digest of chunk k+1, and the final
+ * chunk's end digest must equal the live session's digest
+ * bit-for-bit. Any mismatch means determinism was broken — the whole
+ * point of running the reconstruction.
  *
- * Work distribution is dynamic: claimed ranges live in a shared Pool,
- * and an idle worker with no pending range left *steals* the far half
- * of the largest in-flight range. The victim publishes its checkpoint
- * progress at every boundary crossing and re-reads its (possibly
- * shrunk) end under the pool lock at the same point, so a steal is
- * race-free: the thief only ever takes checkpoints the victim has not
- * reached, and both sides agree on the handoff boundary exactly. This
- * is what lets W workers profit from any initial cut — including
- * workers > pieces, where static assignment used to leave cores idle.
+ * The cut is fixed: the checkpoint list is split once into eight
+ * ranges of near-equal checkpoint count, and a shared Pool hands the
+ * next unclaimed range to whichever worker asks, never splitting one.
+ * Equal-checkpoint ranges are already balanced, and every extra range
+ * pays a full replica build (factory rebuild, image clone, undo-chain
+ * walk), so a finer or dynamic cut only adds set-up. Eight ranges
+ * give seven interior digest stitches on top of the final one.
  *
  * Workers read the live session (checkpoints, marks, interventions,
  * memory pages) strictly read-only, so any number of them may run
@@ -42,9 +40,7 @@
 #ifndef DISE_REPLAY_INTERVAL_REPLAY_HH
 #define DISE_REPLAY_INTERVAL_REPLAY_HH
 
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -69,33 +65,9 @@ class IntervalReplay
         std::function<bool(std::unique_ptr<DebugTarget> &target,
                            std::unique_ptr<Debugger> &debugger)>;
 
-    struct Options
-    {
-        /** µops per step() call in run() (preemption grain). */
-        uint64_t sliceUops = 250000;
-        /**
-         * How many ranges to cut the timeline into up front. Each
-         * range is a contiguous run of checkpoint intervals — coarse
-         * enough that replica setup and digest cost amortize, fine
-         * enough to fan out. With stealing on this is only the seed
-         * cut; idle workers split in-flight ranges further.
-         */
-        unsigned pieces = 8;
-        /**
-         * Dynamic work-stealing: an idle worker splits the largest
-         * remaining in-flight range instead of going idle. Off =
-         * static assignment (the pre-stealing behavior, kept for
-         * benchmarking the difference).
-         */
-        bool steal = true;
-    };
-
     /** One executed chunk (a run of checkpoint intervals). */
     struct Interval
     {
-        size_t index = 0;       ///< claim order
-        unsigned slot = 0;      ///< pool slot that executed it
-        bool stolen = false;    ///< carved from an in-flight range
         size_t cpFrom = 0;      ///< first checkpoint of the range
         size_t cpTo = 0;        ///< one past the last checkpoint
         uint64_t fromTime = 0;  ///< starting checkpoint's µop position
@@ -113,7 +85,9 @@ class IntervalReplay
         bool ok = false;
         std::string error;
         unsigned workers = 0;
-        uint64_t steals = 0;      ///< ranges split off in-flight work
+        /** Always 0: ranges are never split in flight. Kept because
+         *  the perfbench layer waterfall reads it. */
+        uint64_t steals = 0;
         uint64_t liveDigest = 0;  ///< the session's own digest
         uint64_t finalDigest = 0; ///< last chunk's end digest
         uint64_t uopsReplayed = 0;
@@ -123,43 +97,36 @@ class IntervalReplay
 
     IntervalReplay(TimeTravel &tt, DebugTarget &live,
                    DebugBackend &liveBackend, const ReplayLog &log,
-                   ReplicaFactory factory, Options opts);
+                   ReplicaFactory factory);
 
     size_t intervalCount() const { return plan_.size(); }
-    const Options &options() const { return opts_; }
 
     class Pool;
 
     /**
-     * A share-nothing worker for one claimed range. prepare() builds
-     * the replica and materializes the range's start state (throws on
-     * a factory failure or a start-state mismatch); step() replays a
-     * bounded chunk and returns true once the range is complete
-     * (throws on replay divergence). While stepping, the worker
-     * publishes checkpoint progress to its pool at every boundary
-     * crossing and honors steals that shrink its end. Workers of
+     * A share-nothing worker for one claimed range, driven by its
+     * Pool. prepare() builds the replica and materializes the range's
+     * start state (throws on a factory failure or a start-state
+     * mismatch); step() replays a bounded chunk and returns true once
+     * the range is complete (throws on replay divergence). Workers of
      * different ranges are fully independent.
      */
     class Worker
     {
       public:
         ~Worker();
-        void prepare();
-        bool step(uint64_t maxUops);
-        const Interval &result() const { return interval_; }
 
       private:
-        friend class IntervalReplay;
         friend class Pool;
-        Worker(const IntervalReplay &owner, Interval iv, Pool *pool);
+        Worker(const IntervalReplay &owner, Interval iv);
 
+        void prepare();
+        bool step(uint64_t maxUops);
         void applyProduction(const Intervention &iv);
         void pollEvents();
 
         const IntervalReplay &owner_;
         Interval interval_;
-        Pool *pool_ = nullptr;
-        bool prepared_ = false;
 
         std::unique_ptr<DebugTarget> target_;
         std::unique_ptr<Debugger> debugger_;
@@ -167,7 +134,6 @@ class IntervalReplay
 
         uint64_t time_ = 0;
         uint64_t appInsts_ = 0;
-        size_t nextCp_ = 0; ///< next checkpoint boundary to publish
         size_t nextIntervention_ = 0;
         size_t markCursor_ = 0;
         size_t seenWatch_ = 0, seenBreak_ = 0, seenProt_ = 0;
@@ -179,73 +145,63 @@ class IntervalReplay
     };
 
     /**
-     * The shared work queue one reconstruction drains. claim() hands
-     * out the next pending range — or, when stealing is on and the
-     * queue is dry, splits the largest in-flight range — and returns
-     * nullptr once no further parallel work can be extracted. Safe to
-     * call from any number of threads or scheduler jobs.
+     * The shared queue of the fixed cut one reconstruction drains.
+     * Each lane (a thread, or a scheduler job) calls drive() until it
+     * returns true; a lane holds at most one replica at a time. Safe
+     * to call from any number of lanes at once.
      */
     class Pool
     {
       public:
-        /** Next range to execute, or nullptr when drained. */
-        std::unique_ptr<Worker> claim();
-        /** Record a finished worker's chunk. */
-        void complete(const Worker &w);
-        /** Record a worker that died mid-range (leaves a gap). */
-        void abandon(const Worker &w, const std::string &error);
-        /** All completed chunks (call after the workers are done). */
-        std::vector<Interval> take();
-        uint64_t steals() const;
-        const std::string &error() const;
+        /**
+         * Advance @p lane by one bounded unit of work: claim the next
+         * unclaimed range and prepare its replica, or replay up to
+         * @p maxUops µops of the claimed range and record it once
+         * complete. A range whose replica fails or diverges is
+         * recorded as an error (and leaves a coverage gap). Returns
+         * true once no range is left to claim.
+         */
+        bool drive(std::unique_ptr<Worker> &lane, uint64_t maxUops);
 
       private:
         friend class IntervalReplay;
-        friend class Worker;
         explicit Pool(const IntervalReplay &owner);
 
-        /** Victim-side boundary publish: records that @p slot reached
-         *  checkpoint @p cp and returns its current (possibly stolen-
-         *  from) end. */
-        size_t checkpointReached(unsigned slot, size_t cp);
-
-        struct Active
-        {
-            size_t progress; ///< last checkpoint boundary reached
-            size_t end;      ///< one past the last owned checkpoint
-        };
-
         const IntervalReplay &owner_;
-        mutable std::mutex mu_;
-        std::deque<Interval> pending_;
-        std::map<unsigned, Active> active_;
+        std::mutex mu_;
+        size_t next_ = 0; ///< next unclaimed range of the plan
         std::vector<Interval> done_;
-        unsigned nextSlot_ = 0;
-        size_t nextIndex_ = 0;
-        uint64_t steals_ = 0;
         std::string error_;
     };
 
-    /** A fresh pool over the full timeline cut. */
+    /** A fresh pool over the fixed cut. */
     std::unique_ptr<Pool> makePool() const;
 
     /**
      * Reconstruct the whole timeline on @p workers threads (1 =
-     * serial) with dynamic stealing and stitch. Worker errors land in
-     * the report, never throw.
+     * serial; at most one per range) and stitch. Worker errors land
+     * in the report, never throw.
      */
     Report run(unsigned workers) const;
 
-    /** Digest-chain + coverage verification of executed chunks. */
-    Report stitch(std::vector<Interval> results) const;
+    /** Stitch a drained pool's chunks: digest chain, coverage, and
+     *  the final digest against the live session. A range that failed
+     *  is reported ahead of the gap it leaves. */
+    Report finish(Pool &pool) const;
 
   private:
+    /** Ranges the checkpoint list is cut into. */
+    static constexpr unsigned kPieces = 8;
+    /** µops per step() in run() (preemption grain). */
+    static constexpr uint64_t kSliceUops = 250000;
+
+    Report stitch(std::vector<Interval> results) const;
+
     TimeTravel &tt_;
     DebugTarget &live_;
     DebugBackend &liveBackend_;
     const ReplayLog &log_;
     ReplicaFactory factory_;
-    Options opts_;
     std::vector<Interval> plan_;
 };
 

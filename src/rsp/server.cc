@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include "common/logging.hh"
+#include "common/socket.hh"
 
 namespace dise::rsp {
 
@@ -56,16 +57,7 @@ RspConnection::AsyncState::notify(const std::string &payload)
     // Caller holds mu.
     if (!open)
         return false;
-    std::string wire = notifyFrame(payload);
-    size_t off = 0;
-    while (off < wire.size()) {
-        ssize_t n =
-            ::write(fd, wire.data() + off, wire.size() - off);
-        if (n <= 0)
-            return false;
-        off += static_cast<size_t>(n);
-    }
-    return true;
+    return sendAll(fd, notifyFrame(payload));
 }
 
 // ------------------------------------------------------------ protocol
@@ -626,18 +618,6 @@ RspConnection::serve(int fd)
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 
-    auto sendAll = [&](const std::string &data) {
-        size_t off = 0;
-        while (off < data.size()) {
-            ssize_t n = ::write(fd, data.data() + off,
-                                data.size() - off);
-            if (n <= 0)
-                return false;
-            off += static_cast<size_t>(n);
-        }
-        return true;
-    };
-
     {
         std::lock_guard<std::mutex> lk(async_->mu);
         async_->fd = fd;
@@ -664,7 +644,7 @@ RspConnection::serve(int fd)
                 // must not interleave mid-frame with a %Stop.
                 std::lock_guard<std::mutex> lk(async_->mu);
                 if (!lastFrame.empty())
-                    sendAll(lastFrame);
+                    sendAll(fd, lastFrame);
                 continue;
             }
             if (kind == ItemKind::Break) {
@@ -692,7 +672,8 @@ RspConnection::serve(int fd)
                 // Replies and %Stop notifications must not interleave
                 // mid-frame: both go out under the async-state mutex.
                 std::lock_guard<std::mutex> lk(async_->mu);
-                sent = sendAll("+") && (wasKill || sendAll(lastFrame));
+                sent = sendAll(fd, "+") &&
+                       (wasKill || sendAll(fd, lastFrame));
             }
             if (!sent)
                 wantClose_ = true;

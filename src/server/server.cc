@@ -13,28 +13,12 @@
 #include <cstring>
 
 #include "common/logging.hh"
+#include "common/socket.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "rsp/server.hh"
 
 namespace dise::server {
-
-namespace {
-
-bool
-sendAll(int fd, const std::string &data)
-{
-    size_t off = 0;
-    while (off < data.size()) {
-        ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-        if (n <= 0)
-            return false;
-        off += static_cast<size_t>(n);
-    }
-    return true;
-}
-
-} // namespace
 
 /** Per-connection outbound line channel. Responses (connection
  *  thread) and pushed events (scheduler workers) both go through
@@ -408,11 +392,11 @@ DebugServer::driveSpecJob(ManagedSession &s, const Request &req)
 
 /**
  * Interval-parallel replay as sibling jobs: one preemptible job per
- * scheduler worker, each repeatedly claiming checkpoint ranges from a
- * shared work-stealing pool (share-nothing replicas, read-only
- * against the live session), then stitched deterministically by
- * digest. An idle job splits the largest in-flight range, so every
- * scheduler worker stays busy regardless of the seed cut.
+ * scheduler worker (at most one per range), each driving its lane of
+ * the shared fixed-cut pool — claim, prepare, step, complete — until
+ * no range is left, then stitched deterministically by digest. A lane
+ * holds one replica at a time, so at most that many cloned images are
+ * alive at once.
  */
 Response
 DebugServer::driveReplayVerify(ManagedSession &s, const Request &req)
@@ -437,40 +421,19 @@ DebugServer::driveReplayVerify(ManagedSession &s, const Request &req)
                         "first, and batch runs cannot be "
                         "reconstructed)");
 
-    struct PoolJob
-    {
-        std::unique_ptr<IntervalReplay::Worker> w;
-        bool prepared = false;
-    };
     std::shared_ptr<IntervalReplay::Pool> pool = ir->makePool();
     size_t n = std::max<size_t>(
         1, std::min<size_t>(sched_.workers(), ir->intervalCount()));
+    using Lane = std::unique_ptr<IntervalReplay::Worker>;
     std::vector<JobScheduler::TicketPtr> tickets;
     for (size_t i = 0; i < n; ++i) {
-        auto pj = std::make_shared<PoolJob>();
-        tickets.push_back(sched_.submit([pj, pool, &s](uint64_t slice) {
+        auto lane = std::make_shared<Lane>();
+        tickets.push_back(sched_.submit([lane, pool, &s](uint64_t slice) {
             if (s.closing.load(std::memory_order_acquire))
                 throw std::runtime_error("session destroyed");
-            if (!pj->w) {
-                pj->w = pool->claim();
-                if (!pj->w)
-                    return true; // pool drained; job done
-                pj->prepared = false;
-                return false;
-            }
-            if (!pj->prepared) {
-                // Materializing the start state is its own slice.
-                pj->w->prepare();
-                pj->prepared = true;
-                return false;
-            }
             // The scheduler's grain is app-instructions; replay
             // slices meter µops (≈4 per instrumented instruction).
-            if (!pj->w->step(slice * 4))
-                return false;
-            pool->complete(*pj->w);
-            pj->w.reset();
-            return false; // claim the next range next slice
+            return pool->drive(*lane, slice * 4);
         }));
     }
     bool ok = true;
@@ -486,13 +449,12 @@ DebugServer::driveReplayVerify(ManagedSession &s, const Request &req)
     s.jobs.fetch_add(tickets.size(), std::memory_order_relaxed);
     if (!ok)
         return errorOut(err);
-    IntervalReplay::Report rep = ir->stitch(pool->take());
+    IntervalReplay::Report rep = ir->finish(*pool);
     if (!rep.ok)
         return errorOut(rep.error.empty()
                             ? "replay verification failed"
                             : rep.error);
     resp.value = rep.finalDigest;
-    resp.index = static_cast<int64_t>(pool->steals());
     for (const IntervalReplay::Interval &iv : rep.intervals)
         resp.regs.push_back(iv.endDigest);
     return resp;

@@ -17,25 +17,13 @@
 #include <cstring>
 #include <map>
 
+#include "common/socket.hh"
 #include "obs/metrics.hh"
 #include "persist/vfs.hh"
 
 namespace dise::server {
 
 namespace {
-
-bool
-sendAll(int fd, const char *data, size_t n)
-{
-    size_t off = 0;
-    while (off < n) {
-        ssize_t w = ::send(fd, data + off, n - off, MSG_NOSIGNAL);
-        if (w <= 0)
-            return false;
-        off += static_cast<size_t>(w);
-    }
-    return true;
-}
 
 int
 connectLoopback(uint16_t port)
@@ -77,8 +65,7 @@ struct ProxyOut
     sendLine(const std::string &line)
     {
         std::lock_guard<std::mutex> lk(mu);
-        std::string data = line + "\n";
-        return sendAll(fd, data.data(), data.size());
+        return sendAll(fd, line + "\n");
     }
 };
 

@@ -189,30 +189,40 @@ DebugSession::ensurePeekTarget()
     return *preview_;
 }
 
+DebugSession::SpecSet
+DebugSession::unmutedSpecs() const
+{
+    // Specs removed before attach are never installed — a deleted
+    // breakpoint must not make a capability-limited backend (hwreg,
+    // vm) refuse the whole session.
+    SpecSet set;
+    for (size_t i = 0; i < pendingWatches_.size(); ++i)
+        if (!mutedWatches_.count(static_cast<int>(i)))
+            set.watches.push_back(static_cast<int>(i));
+    for (size_t i = 0; i < pendingBreaks_.size(); ++i)
+        if (!mutedBreaks_.count(static_cast<int>(i)))
+            set.breaks.push_back(static_cast<int>(i));
+    return set;
+}
+
 bool
-DebugSession::buildMachinery(Machinery &m)
+DebugSession::buildMachinery(Machinery &m, const SpecSet &specs)
 {
     m.target = std::make_unique<DebugTarget>(program_);
     if (opts_.prepare)
         opts_.prepare(*m.target);
     m.debugger = std::make_unique<Debugger>(*m.target, opts_.debugger);
-    // Specs removed before attach are never installed — a deleted
-    // breakpoint must not make a capability-limited backend (hwreg,
-    // vm) refuse the whole session. The maps keep session indices
-    // stable against the compacted installed list.
+    // The maps keep session indices stable against the compacted
+    // installed list.
     m.watchInstalled.assign(pendingWatches_.size(), -1);
     m.breakInstalled.assign(pendingBreaks_.size(), -1);
-    for (size_t i = 0; i < pendingWatches_.size(); ++i) {
-        if (mutedWatches_.count(static_cast<int>(i)))
-            continue;
+    for (int i : specs.watches) {
         m.watchInstalled[i] = m.debugger->watch(pendingWatches_[i]);
-        m.installedWatchOwner.push_back(static_cast<int>(i));
+        m.installedWatchOwner.push_back(i);
     }
-    for (size_t i = 0; i < pendingBreaks_.size(); ++i) {
-        if (mutedBreaks_.count(static_cast<int>(i)))
-            continue;
+    for (int i : specs.breaks) {
         m.breakInstalled[i] = m.debugger->breakAt(pendingBreaks_[i]);
-        m.installedBreakOwner.push_back(static_cast<int>(i));
+        m.installedBreakOwner.push_back(i);
     }
     // Configuration-phase pokes fold into the initial state between
     // load and prime, so watchpoint shadows snapshot the poked image
@@ -268,10 +278,15 @@ DebugSession::attach()
 {
     if (attached())
         return true;
-    DISE_ASSERT(!detached_, "session already detached");
+    return attachWith(unmutedSpecs());
+}
 
+bool
+DebugSession::attachWith(const SpecSet &specs)
+{
+    DISE_ASSERT(!detached_, "session already detached");
     Machinery m;
-    if (!buildMachinery(m)) {
+    if (!buildMachinery(m, specs)) {
         attachFailed_ = true;
         return false;
     }
@@ -471,7 +486,7 @@ DebugSession::rebuildBegin()
     }
 
     Machinery m;
-    if (!buildMachinery(m)) {
+    if (!buildMachinery(m, unmutedSpecs())) {
         refusal_ = std::string("rebuild refused: the ") +
                    backendName(backendKind()) +
                    " backend cannot implement the enlarged spec set";
@@ -1025,39 +1040,35 @@ DebugSession::runToEvent(uint64_t n)
 }
 
 std::unique_ptr<IntervalReplay>
-DebugSession::beginIntervalReplay(unsigned pieces, bool steal)
+DebugSession::beginIntervalReplay()
 {
     if (!attached() || !debugger_->timeTraveling() || batchRan_)
         return nullptr;
     // Each interval worker gets machinery built exactly the way this
-    // session's was (same specs, same initial-state pokes, same
-    // prepare hook), so its replay is bit-deterministic against the
-    // live timeline.
+    // session's was (same initial-state pokes, same prepare hook, and
+    // the live machinery's installed specs: removal after attach only
+    // mutes, so a removed spec still shapes the recorded timeline), so
+    // its replay is bit-deterministic against the live timeline.
+    SpecSet specs{installedWatchOwner_, installedBreakOwner_};
     IntervalReplay::ReplicaFactory factory =
-        [this](std::unique_ptr<DebugTarget> &t,
-               std::unique_ptr<Debugger> &d) {
+        [this, specs](std::unique_ptr<DebugTarget> &t,
+                      std::unique_ptr<Debugger> &d) {
             Machinery m;
-            if (!buildMachinery(m))
+            if (!buildMachinery(m, specs))
                 return false;
             t = std::move(m.target);
             d = std::move(m.debugger);
             return true;
         };
-    IntervalReplay::Options opts;
-    if (pieces)
-        opts.pieces = pieces;
-    opts.steal = steal;
     return std::make_unique<IntervalReplay>(
         debugger_->timeTravel(), *target_, debugger_->backend(),
-        debugger_->replayLog(), std::move(factory), opts);
+        debugger_->replayLog(), std::move(factory));
 }
 
 IntervalReplay::Report
-DebugSession::verifyReplay(unsigned workers, unsigned pieces,
-                           bool steal)
+DebugSession::verifyReplay(unsigned workers)
 {
-    std::unique_ptr<IntervalReplay> ir =
-        beginIntervalReplay(pieces, steal);
+    std::unique_ptr<IntervalReplay> ir = beginIntervalReplay();
     if (!ir) {
         IntervalReplay::Report r;
         r.error = "no replayable timeline (attach and run first, and "
@@ -1389,6 +1400,10 @@ DebugSession::exportImage(persist::SessionImage &img, std::string *err)
     img.breaks = pendingBreaks_;
     img.mutedWatches.assign(mutedWatches_.begin(), mutedWatches_.end());
     img.mutedBreaks.assign(mutedBreaks_.begin(), mutedBreaks_.end());
+    img.installedWatches.assign(installedWatchOwner_.begin(),
+                                installedWatchOwner_.end());
+    img.installedBreaks.assign(installedBreakOwner_.begin(),
+                               installedBreakOwner_.end());
     img.pokes.clear();
     for (const PendingPoke &p : pendingPokes_)
         img.pokes.push_back({p.isReg, p.reg, p.addr, p.size, p.value});
@@ -1466,7 +1481,14 @@ DebugSession::resurrectBegin(const persist::SessionImage &img,
     // failure with the session safely detached rather than admitting
     // half-replayed state.
     try {
-        if (!attach())
+        // Re-install exactly what the live machinery had installed,
+        // muted specs included: they shaped the recorded timeline.
+        SpecSet installed;
+        installed.watches.assign(img.installedWatches.begin(),
+                                 img.installedWatches.end());
+        installed.breaks.assign(img.installedBreaks.begin(),
+                                img.installedBreaks.end());
+        if (!attachWith(installed))
             return fail(std::string("the ") + backendName(img.backend) +
                         " backend refused the persisted spec set");
         if (!img.hasTravel) {

@@ -160,15 +160,11 @@ class DebugSession
      * equal digest() bit-for-bit — the determinism proof a client can
      * ask for over the wire (replay-verify).
      */
-    IntervalReplay::Report verifyReplay(unsigned workers,
-                                        unsigned pieces = 0,
-                                        bool steal = true);
+    IntervalReplay::Report verifyReplay(unsigned workers);
     /** The underlying plan, for callers that schedule the interval
-     *  workers themselves (the server fans them out as sibling jobs
-     *  over a shared work-stealing pool). pieces = 0 keeps the default
-     *  seed cut. Null when there is no replayable timeline. */
-    std::unique_ptr<IntervalReplay> beginIntervalReplay(
-        unsigned pieces = 0, bool steal = true);
+     *  workers themselves (the server drives its pool from scheduler
+     *  jobs). Null when there is no replayable timeline. */
+    std::unique_ptr<IntervalReplay> beginIntervalReplay();
 
     /** Position-only stop record for the current state (reports an
      *  interrupted job's landing point). */
@@ -294,6 +290,14 @@ class DebugSession
         std::vector<int> installedBreakOwner;
     };
 
+    /** Session indices of the specs one machinery build installs,
+     *  ascending (install order). */
+    struct SpecSet
+    {
+        std::vector<int> watches;
+        std::vector<int> breaks;
+    };
+
     /** An event park the rebuild-replay must re-find on the rebuilt
      *  timeline: the parked-on mark's instrumentation-invariant
      *  identity (kind, pc, appInsts, owner, address) plus its absolute
@@ -348,7 +352,13 @@ class DebugSession
     bool resurrectFinish(std::string *err);
     bool ensureAttached();
     TimeTravel &ensureTravel();
-    bool buildMachinery(Machinery &m);
+    /** Every unmuted spec: what an attach or a rebuild installs.
+     *  Interval-replay replicas and resurrection install the live
+     *  machinery's set instead (installedWatchOwner_ and
+     *  installedBreakOwner_), removed-and-muted specs included. */
+    SpecSet unmutedSpecs() const;
+    bool buildMachinery(Machinery &m, const SpecSet &specs);
+    bool attachWith(const SpecSet &specs);
     void commitMachinery(Machinery &m);
     bool reattachAndReplay();
     bool rebuildBegin();

@@ -91,6 +91,8 @@ sampleImage(uint64_t id)
     b.condConst = 9;
     img.breaks.push_back(b);
     img.mutedWatches.push_back(1);
+    img.installedWatches.push_back(0);
+    img.installedBreaks.push_back(0);
     SessionImage::Poke p;
     p.isReg = false;
     p.addr = 0x20010;
@@ -160,6 +162,8 @@ TEST(SessionImage, RoundTripAllFields)
     EXPECT_EQ(back.breaks[0].condConst, 9u);
     ASSERT_EQ(back.mutedWatches.size(), 1u);
     EXPECT_EQ(back.mutedWatches[0], 1);
+    EXPECT_EQ(back.installedWatches, (std::vector<int32_t>{0}));
+    EXPECT_EQ(back.installedBreaks, (std::vector<int32_t>{0}));
     ASSERT_EQ(back.pokes.size(), 1u);
     EXPECT_EQ(back.pokes[0].addr, 0x20010u);
     EXPECT_EQ(back.pokes[0].value, 0xabcdu);
@@ -220,6 +224,16 @@ TEST(SessionImage, HostileInputsRejectTyped)
     bad[8] = 0x7f;
     refreshTrailingChecksum(bad);
     EXPECT_EQ(persist::decodeImage(bad, out), ImageErr::BadVersion);
+
+    // An installed-spec index past the spec list (or out of install
+    // order) is Malformed, never an out-of-bounds install later.
+    for (std::vector<int32_t> idx :
+         {std::vector<int32_t>{0, 2}, std::vector<int32_t>{1, 0}}) {
+        SessionImage skewed = sampleImage(7);
+        skewed.installedWatches = idx;
+        EXPECT_EQ(persist::decodeImage(persist::encodeImage(skewed), out),
+                  ImageErr::Malformed);
+    }
 
     // A count field inflated to claim more elements than the payload
     // holds (checksum fixed): bounded reader refuses allocation.
@@ -667,6 +681,38 @@ TEST(SessionResurrect, RoundTripEveryBackend)
         EXPECT_EQ(a.time, b.time);
         EXPECT_EQ(live.digest(), res.digest());
     }
+}
+
+TEST(SessionResurrect, WatchRemovedAfterAttachStaysInstalled)
+{
+    // Removal after attach only mutes; the spec stays installed and
+    // shapes the recorded timeline. A session hibernated after the
+    // removal must resurrect with that spec installed (and muted), or
+    // the seek replay diverges and an evicted session is lost.
+    Workload w = buildWorkload("mcf", {1, 1});
+    DebugSession live(w.program);
+    ASSERT_EQ(live.setWatch(w.watch(WatchSel::WARM1)), 0);
+    ASSERT_EQ(live.setWatch(w.watch(WatchSel::WARM2)), 1);
+    ASSERT_EQ(live.runToEnd().reason, StopReason::Halted);
+    ASSERT_TRUE(live.removeWatch(1));
+
+    SessionImage img;
+    std::string err;
+    ASSERT_TRUE(live.exportImage(img, &err)) << err;
+    EXPECT_EQ(img.installedWatches, (std::vector<int32_t>{0, 1}));
+    EXPECT_EQ(img.mutedWatches, (std::vector<int32_t>{1}));
+    SessionImage loaded;
+    ASSERT_EQ(persist::decodeImage(persist::encodeImage(img), loaded),
+              ImageErr::None);
+
+    DebugSession res(w.program);
+    ASSERT_TRUE(resurrectAll(res, loaded, &err)) << err;
+    EXPECT_EQ(res.stats().time, live.stats().time);
+    EXPECT_EQ(res.digest(), live.digest());
+    EXPECT_TRUE(res.watchMuted(1));
+    IntervalReplay::Report rep = res.verifyReplay(2);
+    ASSERT_TRUE(rep.ok) << rep.error;
+    EXPECT_EQ(rep.finalDigest, live.digest());
 }
 
 TEST(SessionResurrect, ToolStateSurvivesHibernationBitIdentically)

@@ -736,49 +736,27 @@ TEST_P(AllBackendsIntervalReplay, ParallelDigestsMatchSerialAndLive)
     EXPECT_EQ(serial.finalDigest, s.digest());
     EXPECT_GT(serial.marksVerified, 0u);
 
-    // Static assignment (stealing off) must reproduce the serial cut
-    // and its per-interval digests exactly.
+    // Every worker count replays the same fixed cut, so the parallel
+    // per-interval digests must equal serial's one for one.
     for (unsigned workers : {2u, 4u}) {
-        IntervalReplay::Report par = s.verifyReplay(workers, 0, false);
+        IntervalReplay::Report par = s.verifyReplay(workers);
         ASSERT_TRUE(par.ok) << par.error;
         EXPECT_EQ(par.finalDigest, serial.finalDigest);
         EXPECT_EQ(par.marksVerified, serial.marksVerified);
+        EXPECT_EQ(par.steals, 0u);
         ASSERT_EQ(par.intervals.size(), serial.intervals.size());
         for (size_t i = 0; i < par.intervals.size(); ++i)
             EXPECT_EQ(par.intervals[i].endDigest,
                       serial.intervals[i].endDigest)
                 << "interval " << i;
     }
-
-    // Work-stealing may cut the timeline finer (chunk boundaries
-    // depend on thread timing), but every boundary shared with the
-    // serial cut must carry the identical digest, and the stitched
-    // result is bit-identical regardless.
-    std::map<size_t, uint64_t> serialStarts;
-    for (const IntervalReplay::Interval &iv : serial.intervals)
-        serialStarts[iv.cpFrom] = iv.startDigest;
-    for (unsigned workers : {2u, 4u}) {
-        IntervalReplay::Report par = s.verifyReplay(workers);
-        ASSERT_TRUE(par.ok) << par.error;
-        EXPECT_EQ(par.finalDigest, serial.finalDigest);
-        EXPECT_EQ(par.marksVerified, serial.marksVerified);
-        EXPECT_GE(par.intervals.size(), serial.intervals.size());
-        for (const IntervalReplay::Interval &iv : par.intervals) {
-            auto it = serialStarts.find(iv.cpFrom);
-            if (it != serialStarts.end()) {
-                EXPECT_EQ(iv.startDigest, it->second)
-                    << "chunk starting at checkpoint " << iv.cpFrom;
-            }
-        }
-    }
 }
 
-TEST_P(AllBackendsIntervalReplay, WorkStealingOddRatiosStitchClean)
+TEST_P(AllBackendsIntervalReplay, OddWorkerCountsStitchClean)
 {
-    // The PR 5 debt case: worker counts that do not divide the piece
-    // count — and worker counts *larger* than the piece count, where
-    // static assignment left cores idle. With stealing both must
-    // stitch bit-identically to the live digest.
+    // Worker counts that do not divide the 8-range cut, and more
+    // workers than ranges, must stitch bit-identically to the live
+    // digest.
     SessionOptions so;
     so.debugger.backend = GetParam();
     so.timeTravel.checkpointInterval = 300;
@@ -793,82 +771,47 @@ TEST_P(AllBackendsIntervalReplay, WorkStealingOddRatiosStitchClean)
     uint64_t live = s.digest();
     IntervalReplay::Report serial = s.verifyReplay(1);
     ASSERT_TRUE(serial.ok) << serial.error;
+    ASSERT_EQ(serial.intervals.size(), 8u);
 
-    // 3 workers over a 7-range seed cut.
-    IntervalReplay::Report odd = s.verifyReplay(3, 7, true);
+    IntervalReplay::Report odd = s.verifyReplay(3);
     ASSERT_TRUE(odd.ok) << odd.error;
+    EXPECT_EQ(odd.workers, 3u);
     EXPECT_EQ(odd.finalDigest, live);
     EXPECT_EQ(odd.marksVerified, serial.marksVerified);
 
-    // 4 workers over a 2-range seed cut: only stealing can hand the
-    // extra workers anything to do.
-    IntervalReplay::Report wide = s.verifyReplay(4, 2, true);
+    // 12 workers against 8 ranges: one thread per range, no more.
+    IntervalReplay::Report wide = s.verifyReplay(12);
     ASSERT_TRUE(wide.ok) << wide.error;
+    EXPECT_EQ(wide.workers, 8u);
     EXPECT_EQ(wide.finalDigest, live);
     EXPECT_EQ(wide.marksVerified, serial.marksVerified);
 }
 
-TEST(IntervalReplay, StealSplitsInFlightRangesAtCheckpointBoundaries)
+TEST_P(AllBackendsIntervalReplay, RemovedWatchStaysInstalledInReplicas)
 {
-    // Drive the pool by hand so the steal path is deterministic: with
-    // both seed ranges in flight, further claims must split them, the
-    // victims must stop exactly at the handoff boundaries, and the
-    // stolen chunks must stitch into the same digest chain.
+    // Removal after attach only mutes: the spec stays installed and
+    // its events stay on the recorded timeline, so the replicas must
+    // install it too.
     SessionOptions so;
-    so.timeTravel.checkpointInterval = 250;
+    so.debugger.backend = GetParam();
+    so.timeTravel.checkpointInterval = 300;
     Program demo = buildHeisenbugDemo();
     DebugSession s(demo, so);
-    s.setWatch(WatchSpec::scalar("directory", demo.symbol("directory"),
-                                 8));
-    StopInfo hit = s.cont();
-    ASSERT_EQ(hit.reason, StopReason::Event);
-    s.runToEnd();
+    ASSERT_EQ(s.setWatch(WatchSpec::scalar(
+                  "directory", demo.symbol("directory"), 8)),
+              0);
+    ASSERT_EQ(s.setWatch(WatchSpec::scalar(
+                  "table", demo.symbol("table") + 8, 8)),
+              1);
+    StopInfo end = s.runToEnd();
+    ASSERT_EQ(end.reason, StopReason::Halted);
+    ASSERT_TRUE(s.removeWatch(1));
 
-    std::unique_ptr<IntervalReplay> ir = s.beginIntervalReplay(2, true);
-    ASSERT_TRUE(ir);
-    ASSERT_EQ(ir->intervalCount(), 2u);
-    std::unique_ptr<IntervalReplay::Pool> pool = ir->makePool();
-
-    std::vector<std::unique_ptr<IntervalReplay::Worker>> workers;
-    workers.push_back(pool->claim());
-    workers.push_back(pool->claim());
-    ASSERT_TRUE(workers[0] && workers[1]);
-    EXPECT_FALSE(workers[0]->result().stolen);
-    EXPECT_FALSE(workers[1]->result().stolen);
-    // Pending is dry and both ranges are untouched in flight: the
-    // next two claims must be steals.
-    workers.push_back(pool->claim());
-    workers.push_back(pool->claim());
-    ASSERT_TRUE(workers[2] && workers[3]);
-    EXPECT_TRUE(workers[2]->result().stolen);
-    EXPECT_TRUE(workers[3]->result().stolen);
-    EXPECT_EQ(pool->steals(), 2u);
-
-    for (auto &w : workers)
-        w->prepare();
-    // Round-robin tiny budgets: the victims cross checkpoint
-    // boundaries while their ends have already been stolen down.
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        for (auto &w : workers) {
-            if (!w)
-                continue;
-            progress = true;
-            if (w->step(500)) {
-                pool->complete(*w);
-                w.reset();
-            }
-        }
+    for (unsigned workers : {1u, 2u, 4u}) {
+        IntervalReplay::Report rep = s.verifyReplay(workers);
+        ASSERT_TRUE(rep.ok) << workers << " workers: " << rep.error;
+        EXPECT_EQ(rep.finalDigest, s.digest());
     }
-    // Drain anything still claimable (further steals are possible
-    // only from in-flight ranges, and none remain).
-    EXPECT_EQ(pool->claim(), nullptr);
-
-    IntervalReplay::Report rep = ir->stitch(pool->take());
-    ASSERT_TRUE(rep.ok) << rep.error;
-    EXPECT_EQ(rep.intervals.size(), 4u);
-    EXPECT_EQ(rep.finalDigest, s.digest());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -886,6 +829,45 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return "unknown";
     });
+
+TEST(IntervalReplay, RemoveWatchThenReplayVerifyOnMcf)
+{
+    // The scripts that found the removed-spec defect, on the workload
+    // they found it on (mcf, scale 1, seed 1).
+    Workload w = buildWorkload("mcf", {1, 1});
+    {
+        // The only watch removed after the run.
+        DebugSession s(w.program);
+        ASSERT_EQ(s.setWatch(w.watch(WatchSel::WARM1)), 0);
+        ASSERT_EQ(s.runToEnd().reason, StopReason::Halted);
+        ASSERT_TRUE(s.removeWatch(0));
+        IntervalReplay::Report rep = s.verifyReplay(1);
+        ASSERT_TRUE(rep.ok) << rep.error;
+        EXPECT_EQ(rep.finalDigest, s.digest());
+    }
+    {
+        // A watch added after the run (a rebuild), then removed.
+        DebugSession s(w.program);
+        ASSERT_EQ(s.setWatch(w.watch(WatchSel::WARM1)), 0);
+        ASSERT_EQ(s.runToEnd().reason, StopReason::Halted);
+        ASSERT_EQ(s.setWatch(w.watch(WatchSel::COLD)), 1);
+        ASSERT_TRUE(s.removeWatch(1));
+        IntervalReplay::Report rep = s.verifyReplay(2);
+        ASSERT_TRUE(rep.ok) << rep.error;
+        EXPECT_EQ(rep.finalDigest, s.digest());
+    }
+    {
+        // The second of two watches removed after the run.
+        DebugSession s(w.program);
+        ASSERT_EQ(s.setWatch(w.watch(WatchSel::WARM1)), 0);
+        ASSERT_EQ(s.setWatch(w.watch(WatchSel::WARM2)), 1);
+        ASSERT_EQ(s.runToEnd().reason, StopReason::Halted);
+        ASSERT_TRUE(s.removeWatch(1));
+        IntervalReplay::Report rep = s.verifyReplay(2);
+        ASSERT_TRUE(rep.ok) << rep.error;
+        EXPECT_EQ(rep.finalDigest, s.digest());
+    }
+}
 
 TEST(IntervalReplay, ReconstructsAParkedPositionWithInterventions)
 {

@@ -839,10 +839,13 @@ TEST(DebugServerTcp, ReplayVerifyRunsAsSiblingJobs)
     uint64_t jobsBefore = srv.stats().jobs;
     ASSERT_TRUE(wire.roundTripOk("replay-verify seq=5 count=4", resp));
     EXPECT_EQ(resp.value, refRep.finalDigest);
-    // Chunk boundaries may differ between the two runs (stealing cuts
-    // by thread timing) but both cover the same timeline and agree on
-    // the stitched digest above.
-    EXPECT_GE(resp.regs.size(), 2u);
+    // Both sides replay the same fixed cut: the per-interval end
+    // digests match one for one.
+    ASSERT_EQ(resp.regs.size(), refRep.intervals.size());
+    for (size_t i = 0; i < resp.regs.size(); ++i)
+        EXPECT_EQ(resp.regs[i], refRep.intervals[i].endDigest)
+            << "interval " << i;
+    EXPECT_EQ(resp.index, -1); // the reply carries no index field
     // One sibling pool job per scheduler worker was scheduled, each
     // draining checkpoint ranges until the pool ran dry.
     EXPECT_GE(srv.stats().jobs - jobsBefore, 2u);
@@ -1142,6 +1145,101 @@ TEST(DebugServerTcp, HibernateResurrectOverWireWithDigestMatch)
     ASSERT_TRUE(wire.roundTripOk("server-stats seq=12", resp));
     EXPECT_EQ(resp.server.resurrections, 1u);
     EXPECT_EQ(resp.server.hibernated, 0u);
+    srv.stop();
+}
+
+TEST(DebugServerTcp, RemoveWatchThenReplayVerifyAndResurrect)
+{
+    // The removed-spec script over the wire (mcf, scale 1, seed 1): a
+    // watch added after the run and then removed stays installed, so
+    // interval replay stitches clean and a hibernated session
+    // resurrects with an equal digest.
+    Workload mcf = buildWorkload("mcf", {1, 1});
+    DebugServerOptions opts;
+    opts.maxSessions = 2;
+    opts.slots = 2;
+    opts.storeDir = storeScratch("removed");
+    DebugServer srv(opts, [&](const std::string &, Program &out) {
+        out = mcf.program;
+        return true;
+    });
+    ASSERT_TRUE(srv.start());
+
+    WireClient wire;
+    ASSERT_TRUE(wire.connectTo(srv.port()));
+    Response resp;
+    ASSERT_TRUE(wire.roundTripOk("session-create seq=1 name=mcf", resp));
+    uint64_t id = resp.value;
+    Request setw;
+    setw.kind = RequestKind::SetWatch;
+    setw.seq = 2;
+    setw.watch = mcf.watch(WatchSel::WARM1);
+    ASSERT_TRUE(wire.roundTripOk(encodeRequest(setw), resp));
+    ASSERT_TRUE(wire.roundTripOk("run-to-end seq=3", resp));
+    setw.seq = 4;
+    setw.watch = mcf.watch(WatchSel::COLD);
+    ASSERT_TRUE(wire.roundTripOk(encodeRequest(setw), resp));
+    ASSERT_EQ(resp.index, 1);
+    ASSERT_TRUE(wire.roundTripOk("remove-watch seq=5 index=1", resp));
+    ASSERT_TRUE(wire.roundTripOk("replay-verify seq=6 count=2", resp))
+        << resp.error;
+    uint64_t stitched = resp.value;
+
+    ASSERT_TRUE(wire.roundTripOk("session-persist seq=7", resp));
+    uint64_t digest = resp.value;
+    EXPECT_EQ(digest, stitched);
+    ASSERT_TRUE(wire.roundTripOk("session-hibernate seq=8", resp));
+    char sel[64];
+    std::snprintf(sel, sizeof sel, "session-select seq=9 session=%llu",
+                  static_cast<unsigned long long>(id));
+    ASSERT_TRUE(wire.roundTripOk(sel, resp)) << resp.error;
+    ASSERT_TRUE(wire.roundTripOk("session-persist seq=10", resp));
+    EXPECT_EQ(resp.value, digest);
+    ASSERT_TRUE(wire.roundTripOk("replay-verify seq=11 count=2", resp))
+        << resp.error;
+    EXPECT_EQ(resp.value, digest);
+    srv.stop();
+}
+
+TEST(DebugServerTcp, PipelinedClientHangUpLeavesDaemonServing)
+{
+    // A client that pipelines requests and hangs up without reading
+    // the replies: the server's writes hit a reset connection, which
+    // must fail the send, not raise SIGPIPE and kill the process.
+    DebugServerOptions opts;
+    opts.maxSessions = 2;
+    DebugServer srv(opts);
+    ASSERT_TRUE(srv.start());
+
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(srv.port());
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof addr),
+              0);
+    std::string burst;
+    for (int i = 0; i < 5000; ++i)
+        burst += "ping seq=" + std::to_string(i + 1) + "\n";
+    size_t off = 0;
+    while (off < burst.size()) {
+        ssize_t n = ::send(fd, burst.data() + off, burst.size() - off,
+                           MSG_NOSIGNAL);
+        ASSERT_GT(n, 0);
+        off += static_cast<size_t>(n);
+    }
+    ::close(fd);
+    // Let the server run into the reset connection.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+    WireClient wire;
+    ASSERT_TRUE(wire.connectTo(srv.port()));
+    Response resp;
+    ASSERT_TRUE(wire.roundTripOk("session-create seq=1 name=demo",
+                                 resp));
+    EXPECT_TRUE(wire.roundTripOk("ping seq=2", resp)) << resp.error;
     srv.stop();
 }
 

@@ -37,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "server/server.hh"
 #include "session/protocol.hh"
@@ -330,10 +331,24 @@ main(int argc, char **argv)
     std::string traceOut, metricsOut;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg == "--trace-out" && i + 1 < argc)
-            traceOut = argv[++i];
-        else if (arg == "--metrics-out" && i + 1 < argc)
-            metricsOut = argv[++i];
+        auto next = [&]() -> const char * {
+            if (i + 1 >= argc)
+                usageError("missing value for " + arg);
+            return argv[++i];
+        };
+        if (arg == "--trace-out") {
+            traceOut = next();
+        } else if (arg == "--metrics-out") {
+            metricsOut = next();
+        } else if (arg == "--help" || arg == "-h") {
+            std::printf(
+                "usage: obs_smoke [options]\n"
+                "  --trace-out FILE    write the reassembled trace dump\n"
+                "  --metrics-out FILE  write the metrics exposition\n");
+            return 0;
+        } else {
+            usageError("unknown option '" + arg + "'");
+        }
     }
 
     // Scratch store so persist-layer spans show up in the trace.

@@ -174,32 +174,6 @@ main(int argc, char **argv)
                         : 0);
     }
 
-    // Static partition vs work-stealing at the same worker count: a
-    // fixed 4-piece cut (each worker married to one contiguous
-    // quarter) against a finer 16-piece cut with in-flight stealing,
-    // where a worker that drains its range splits the largest
-    // remaining one instead of idling.
-    double t1 = nowMs();
-    IntervalReplay::Report statRep =
-        s.verifyReplay(4, /*pieces=*/4, /*steal=*/false);
-    double staticMs = nowMs() - t1;
-    DISE_ASSERT(statRep.ok, "static replay failed: ", statRep.error);
-    DISE_ASSERT(statRep.finalDigest == s.digest(),
-                "static stitched digest diverged");
-    t1 = nowMs();
-    IntervalReplay::Report stealRep =
-        s.verifyReplay(4, /*pieces=*/16, /*steal=*/true);
-    double stealMs = nowMs() - t1;
-    DISE_ASSERT(stealRep.ok, "stealing replay failed: ",
-                stealRep.error);
-    DISE_ASSERT(stealRep.finalDigest == s.digest(),
-                "stealing stitched digest diverged");
-    std::printf("  4-worker partition: static x4 %8.1f ms; stealing "
-                "x16 %8.1f ms (%.2fx, %llu steals)\n",
-                staticMs, stealMs,
-                stealMs > 0 ? staticMs / stealMs : 0,
-                static_cast<unsigned long long>(stealRep.steals));
-
     FILE *f = std::fopen(out.c_str(), "w");
     if (!f)
         fatal("cannot write ", out);
@@ -236,16 +210,7 @@ main(int argc, char **argv)
                                     : 0,
             i + 1 < runs.size() ? "," : "");
     }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(
-        f,
-        "  \"work_stealing\": {\"workers\": 4, \"static_pieces\": 4, "
-        "\"static_wall_ms\": %g, \"steal_pieces\": %zu, "
-        "\"steal_wall_ms\": %g, \"steals\": %llu, "
-        "\"speedup_vs_static\": %g}\n",
-        staticMs, stealRep.intervals.size(), stealMs,
-        static_cast<unsigned long long>(stealRep.steals),
-        stealMs > 0 ? staticMs / stealMs : 0);
+    std::fprintf(f, "  ]\n");
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote %s\n", out.c_str());

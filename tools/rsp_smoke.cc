@@ -17,8 +17,10 @@
  */
 
 #include <cstdio>
+#include <string>
 #include <thread>
 
+#include "common/logging.hh"
 #include "rsp/client.hh"
 #include "rsp/server.hh"
 #include "session/debug_session.hh"
@@ -176,8 +178,16 @@ driveBackend(BackendKind kind)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    for (int i = 1; i < argc; ++i) {
+        std::string arg = argv[i];
+        if (arg == "--help" || arg == "-h") {
+            std::printf("usage: rsp_smoke (takes no options)\n");
+            return 0;
+        }
+        usageError("unknown option '" + arg + "'");
+    }
     std::printf("RSP smoke: attach over TCP, Z2, c, bc on every "
                 "backend\n");
     for (BackendKind kind :

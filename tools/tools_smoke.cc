@@ -39,6 +39,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/logging.hh"
 #include "persist/vfs.hh"
 #include "rsp/client.hh"
 #include "rsp/packet.hh"
@@ -170,8 +171,18 @@ main(int argc, char **argv)
     std::string exe = "./rsp_server";
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg == "--server" && i + 1 < argc)
+        if (arg == "--server") {
+            if (i + 1 >= argc)
+                usageError("missing value for " + arg);
             exe = argv[++i];
+        } else if (arg == "--help" || arg == "-h") {
+            std::printf("usage: tools_smoke [--server PATH]\n"
+                        "  --server PATH  rsp_server binary to fork "
+                        "(default ./rsp_server)\n");
+            return 0;
+        } else {
+            usageError("unknown option '" + arg + "'");
+        }
     }
     uint16_t port = static_cast<uint16_t>(
         31000 + (::getpid() % 10000) * 2);
