@@ -13,9 +13,12 @@
  * (predecoded µop cache, indexed production matching, memoized
  * expansions): once with the trace JIT and once without. Both legs must
  * retire identical counts; the µop-MIPS ratio is the JIT speedup. The
- * cycle-level section runs the timing model once per cell and reports
- * its simulated MIPS and cycle count. Results, with the host's CPU
- * model and core count, are emitted as BENCH_throughput.json.
+ * debugger section does the same for what a debug session runs: a
+ * Debugger with the default DISE backend (match-address production,
+ * d_ccall to a generated handler) and one WARM1 watch, run to the end.
+ * The cycle-level section runs the timing model once per cell and
+ * reports its simulated MIPS and cycle count. Results, with the host's
+ * CPU model and core count, are emitted as BENCH_throughput.json.
  */
 
 #include <chrono>
@@ -29,6 +32,7 @@
 #include "common/table.hh"
 #include "cpu/func_cpu.hh"
 #include "cpu/timing_cpu.hh"
+#include "debug/debugger.hh"
 #include "debug/target.hh"
 #include "dise/engine.hh"
 #include "host_info.hh"
@@ -188,6 +192,36 @@ measureFunctional(const Workload &w, Config config, bool jitOn,
     return m;
 }
 
+/**
+ * One debugger run to the end: the default DISE backend with one WARM1
+ * watch, trace cache enabled or not — the production debug sessions
+ * install, not a hand-rolled one.
+ */
+Measurement
+measureDebugger(const Workload &w, bool jitOn)
+{
+    DebugTarget target(w.program);
+    target.jit()->config().enabled = jitOn;
+    Debugger dbg(target);
+    if (dbg.watch(w.watch(WatchSel::WARM1)) < 0 || !dbg.attach())
+        fatal("cannot attach a WARM1 watch to '", w.name, "'");
+
+    auto t0 = std::chrono::steady_clock::now();
+    FuncResult r = dbg.runFunctional();
+    auto t1 = std::chrono::steady_clock::now();
+    if (r.halt != HaltReason::Exited)
+        fatal("debugger throughput run of '", w.name,
+              "' did not exit: ", r.faultMessage);
+
+    Measurement m;
+    m.workload = w.name;
+    m.jit = jitOn;
+    m.appInsts = r.appInsts;
+    m.microOps = r.microOps;
+    m.seconds = std::chrono::duration<double>(t1 - t0).count();
+    return m;
+}
+
 /** One cycle-level run: simulated MIPS of the timing model itself. */
 struct TimingMeasurement
 {
@@ -336,6 +370,47 @@ main(int argc, char **argv)
             jitSpeedupMin);
     }
 
+    // Debugger section: the production a debug session runs, trace
+    // cache on vs off, each run to the end (a capped run would measure
+    // mostly the cache's warm-up).
+    std::vector<Measurement> dbgResults;
+    double dbgSpeedupMin = 0.0;
+    {
+        TextTable dtable;
+        dtable.setHeader({"workload", "jit MIPS", "interp MIPS",
+                          "speedup"});
+        std::vector<std::string> dnames =
+            opts.quick ? std::vector<std::string>{"bzip2"}
+                       : std::vector<std::string>{"bzip2", "mcf", "gcc",
+                                                  "vortex"};
+        for (const auto &name : dnames) {
+            WorkloadParams params;
+            Workload w = buildWorkload(name, params);
+            auto on = bestOf<Measurement>(
+                opts.reps, [&] { return measureDebugger(w, true); });
+            auto off = bestOf<Measurement>(
+                opts.reps, [&] { return measureDebugger(w, false); });
+            if (on.appInsts != off.appInsts || on.microOps != off.microOps)
+                fatal("trace JIT changed debugger retirement counts on '",
+                      name, "': ", on.appInsts, "/", on.microOps, " vs ",
+                      off.appInsts, "/", off.microOps);
+            dbgResults.push_back(on);
+            dbgResults.push_back(off);
+            double sp = off.mips() > 0 ? on.mips() / off.mips() : 0.0;
+            if (dbgResults.size() == 2 || sp < dbgSpeedupMin)
+                dbgSpeedupMin = sp;
+            char onBuf[32], offBuf[32], spBuf[32];
+            std::snprintf(onBuf, sizeof onBuf, "%.2f", on.mips());
+            std::snprintf(offBuf, sizeof offBuf, "%.2f", off.mips());
+            std::snprintf(spBuf, sizeof spBuf, "%.2fx", sp);
+            dtable.addRow({name, onBuf, offBuf, spBuf});
+        }
+        std::printf("\ndebugger, default DISE + WARM1 watch, run to end "
+                    "(cache on vs off, MIPS):\n");
+        std::fputs(dtable.render().c_str(), stdout);
+        std::printf("min debugger JIT speedup: %.2fx\n", dbgSpeedupMin);
+    }
+
     // Cycle-level section: simulated MIPS of the timing model.
     std::vector<TimingMeasurement> timingResults;
     if (!opts.noTiming) {
@@ -369,6 +444,7 @@ main(int argc, char **argv)
     os << "  \"quick\": " << (opts.quick ? "true" : "false") << ",\n";
     os << "  \"host\": " << hostJson() << ",\n";
     os << "  \"jit_uncond_speedup_min\": " << jitSpeedupMin << ",\n";
+    os << "  \"jit_debugger_speedup_min\": " << dbgSpeedupMin << ",\n";
     os << "  \"jit_runs\": [\n";
     for (size_t i = 0; i < jitResults.size(); ++i) {
         const Measurement &m = jitResults[i];
@@ -380,6 +456,16 @@ main(int argc, char **argv)
            << ", \"seconds\": " << m.seconds << ", \"mips\": " << m.mips()
            << ", \"micro_mips\": " << m.microMips() << "}"
            << (i + 1 < jitResults.size() ? "," : "") << "\n";
+    }
+    os << "  ],\n  \"debugger_runs\": [\n";
+    for (size_t i = 0; i < dbgResults.size(); ++i) {
+        const Measurement &m = dbgResults[i];
+        os << "    {\"workload\": \"" << m.workload << "\", \"jit\": \""
+           << (m.jit ? "on" : "off")
+           << "\", \"app_insts\": " << m.appInsts
+           << ", \"micro_ops\": " << m.microOps
+           << ", \"seconds\": " << m.seconds << ", \"mips\": " << m.mips()
+           << "}" << (i + 1 < dbgResults.size() ? "," : "") << "\n";
     }
     os << "  ],\n  \"timing_runs\": [\n";
     for (size_t i = 0; i < timingResults.size(); ++i) {

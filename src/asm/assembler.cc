@@ -406,14 +406,23 @@ Program
 Assembler::finish(const std::string &entryLabel)
 {
     unit_.entryLabel = entryLabel;
-    return assemble(unit_);
+    // The program keeps the unit as its source: hand it over rather
+    // than copy it (a workload's data blobs run to megabytes).
+    return assembleSource(std::make_shared<const AsmUnit>(std::move(unit_)));
 }
 
 Program
 Assembler::assemble(const AsmUnit &unit)
 {
+    return assembleSource(std::make_shared<const AsmUnit>(unit));
+}
+
+Program
+Assembler::assembleSource(std::shared_ptr<const AsmUnit> source)
+{
+    const AsmUnit &unit = *source;
     Program prog;
-    prog.source = std::make_shared<AsmUnit>(unit);
+    prog.source = std::move(source);
 
     // Pass 1: lay out addresses and collect symbols.
     Addr pc = unit.text.base;
@@ -506,6 +515,7 @@ Assembler::assemble(const AsmUnit &unit)
     Program::Segment dataSeg;
     dataSeg.name = "data";
     dataSeg.base = unit.data.base;
+    dataSeg.bytes.reserve(dp - unit.data.base); // pass 1's extent
     dp = unit.data.base;
     for (const auto &item : unit.data.items) {
         switch (item.kind) {

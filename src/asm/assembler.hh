@@ -146,13 +146,15 @@ class Assembler
     /** Number of text items emitted so far (for test introspection). */
     size_t textItems() const { return unit_.text.items.size(); }
 
-    /** Assemble into a loadable Program. */
+    /** Assemble into a loadable Program. Hands the unit over to the
+     *  program's source, leaving the assembler empty. */
     Program finish(const std::string &entryLabel);
 
     /** Assemble a pre-built IR unit (used by the binary rewriter). */
     static Program assemble(const AsmUnit &unit);
 
   private:
+    static Program assembleSource(std::shared_ptr<const AsmUnit> source);
     AsmSection &cur();
     void pushItem(AsmItem item);
 

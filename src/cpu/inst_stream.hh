@@ -185,7 +185,7 @@ class InstStream : public CodeWatcher
     void jitAfterOp(const MicroOp &op);
     void jitRecordOp(const MicroOp &op);
     void jitStartRecording(Addr startPc);
-    void jitFinalize(bool full);
+    void jitFinalize();
 
     ArchState &arch_;
     MainMemory &mem_;
@@ -229,6 +229,10 @@ class InstStream : public CodeWatcher
     /** Distinct-expansion counter; disambiguates two expansions of the
      *  same production at the same PC while recording. */
     uint64_t expId_ = 0;
+
+    /** The last trace side-exited on a guard: profile where the next
+     *  raw op lands as a candidate trace head. */
+    bool jitSideExit_ = false;
 
     // In-flight trace recording.
     struct JitRec

@@ -8,9 +8,17 @@
  * executor (InstStream::runTraced) dispatches trace ops from a dense
  * vector with all fetch/decode/match work pre-resolved, side-exiting
  * back to the interpreter at any point where the recorded assumptions
- * stop holding: a branch goes the other way, an instrumentation
- * callback records a debugger event, a store modifies cached code, or
- * an execution budget runs out.
+ * stop holding: a branch goes the other way, a `d_ccall` condition
+ * holds (the handler call is left to the interpreter), an
+ * instrumentation callback records a debugger event, a store modifies
+ * cached code, or an execution budget runs out.
+ *
+ * Traces start at hot loop heads (taken backward transfers) and at hot
+ * side-exit landings, and end where the recording reaches its own start
+ * or the head of another cached trace. A trace that ends on a head
+ * leaves the PC there, so runTraced's dispatch loop chains straight
+ * into the next trace: linking needs no pointers between traces, and
+ * an invalidated link target simply ends the chain.
  *
  * Determinism contract: a trace retires exactly the µops the
  * interpreter would produce, in the same order, with the same
@@ -43,6 +51,9 @@ struct TraceJitConfig
 constexpr size_t TraceMaxOps = 256;
 /** Shortest trace worth keeping; tighter loops unroll until this. */
 constexpr size_t TraceMinOps = 3;
+/** Most PCs the hotness profile counts at once; the profile restarts
+ *  when a new PC would exceed it. */
+constexpr size_t TraceHotnessCap = 4096;
 
 /** How the executor must treat one trace op. */
 enum class TraceOpKind : uint8_t {
@@ -56,6 +67,7 @@ enum class TraceOpKind : uint8_t {
     Jump,       ///< jump through a register (dynamic-target guard)
     DiseBranch, ///< intra-expansion skip (direction guard)
     Ctrap,      ///< conditional trap; fires monitor->onTrap when taken
+    CallGuard,  ///< d_ccall recorded not taken; exits when its condition holds
     Trap,       ///< unconditional trap (rewrite-backend machinery)
     Nop,        ///< NOP / unmatched CODEWORD
     Suppressed, ///< provably redundant: retires counters, executes nothing
@@ -118,6 +130,7 @@ struct TraceCacheStats
     uint64_t runs = 0;        ///< trace executions entered
     uint64_t tracedUops = 0;  ///< µops retired from traces
     uint64_t sideExits = 0;   ///< guard/event/SMC exits (not natural ends)
+    uint64_t callExits = 0;   ///< side exits on a d_ccall whose condition held
     uint64_t suppressedExecs = 0; ///< elided op executions at run time
 };
 

@@ -89,6 +89,8 @@ TraceCache::noteBackEdge(Addr target, uint64_t tableVersion)
         evict(target);
         ++stats_.invalidated;
     }
+    if (hotness_.size() >= TraceHotnessCap && !hotness_.count(target))
+        hotness_.clear();
     unsigned &h = hotness_[target];
     if (++h < cfg_.hotThreshold)
         return false;

@@ -64,9 +64,9 @@ class TraceCache : public CodeWatcher
     TraceRef lookup(Addr pc, uint64_t tableVersion);
 
     /**
-     * Count a taken backward transfer to @p target. Returns true once
-     * the target is hot and holds no valid trace — the caller should
-     * start recording at @p target.
+     * Count a taken backward transfer to @p target (or a side-exit
+     * landing there). Returns true once the target is hot and holds no
+     * valid trace — the caller should start recording at @p target.
      */
     bool noteBackEdge(Addr target, uint64_t tableVersion);
 

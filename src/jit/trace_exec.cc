@@ -6,12 +6,16 @@
  * model's invariants.
  *
  * Recording: jitAfterOp() observes every µop next() delivers. Taken
- * backward raw transfers profile their targets; a hot target starts a
- * recording, and subsequent µops append until the run closes back on
- * its start PC (a loop trace), grows past the size cap, or hits an op
- * that cannot live in a trace (syscall, halt, DISE-called function,
- * expansion-aborting control) — then the recording finalizes at the
- * last raw-op boundary or is discarded as too short.
+ * backward raw transfers profile their targets, and so does the landing
+ * PC of the first raw op after a guard side exit; a hot PC starts a
+ * recording. Subsequent µops append until the run reaches a raw
+ * boundary at its own start PC (a loop trace) or at the head of another
+ * valid cached trace (a link: dispatch chains into it), grows past the
+ * size cap, or hits an op that cannot live in a trace — a syscall, a
+ * halt, a taken `d_ccall`, `d_call`, `d_mfr`/`d_mtr`, any handler op,
+ * or control that aborts an expansion. Then the recording finalizes at
+ * the last raw-op boundary or is discarded as too short. A `d_ccall`
+ * recorded not taken becomes a guard op.
  *
  * Execution: runTraced() dispatches cached traces while they keep
  * applying. Every op retires exactly the counters and monitor
@@ -45,13 +49,18 @@ InstStream::jitAfterOp(const MicroOp &op)
         return;
     }
     // Hotness profiling: taken backward transfers out of raw ops mark
-    // loop heads. (A raw op can never leave the stream mid-expansion.)
-    if (!op.fromExpansion && !op.inHandler && op.isCtrl && op.taken &&
-        op.target <= op.pc && !halted_) {
-        uint64_t tv = engine_ ? engine_->tableVersion() : 0;
-        if (jit.noteBackEdge(op.target, tv))
-            jitStartRecording(op.target);
-    }
+    // loop heads, and the first raw op after a guard side exit marks
+    // where the trace's other path lands. (A raw op can never leave the
+    // stream mid-expansion, so arch_.pc is the landing PC either way.)
+    if (op.fromExpansion || op.inHandler || halted_)
+        return;
+    bool backEdge = op.isCtrl && op.taken && op.target <= op.pc;
+    if (!backEdge && !jitSideExit_)
+        return;
+    jitSideExit_ = false;
+    uint64_t tv = engine_ ? engine_->tableVersion() : 0;
+    if (jit.noteBackEdge(arch_.pc, tv))
+        jitStartRecording(arch_.pc);
 }
 
 void
@@ -73,12 +82,15 @@ InstStream::jitRecordOp(const MicroOp &op)
     Trace &t = *jitRec_.trace;
 
     // Ops a trace cannot carry finalize the recording at the last
-    // raw-op boundary (or discard it when still too short).
+    // raw-op boundary (or discard it when still too short). A d_ccall
+    // that fell through is the one DiseCall a trace keeps, as a guard
+    // (a taken one has entered its handler: inHandler_).
     const Format fmt = op.inst.info().fmt;
     bool hostile =
         op.isHalt || halted_ || op.inHandler || inHandler_ ||
         (fmt == Format::System && op.inst.op == Opcode::SYSCALL) ||
-        fmt == Format::DiseCall || fmt == Format::DiseMove ||
+        (fmt == Format::DiseCall && op.inst.op != Opcode::D_CCALL) ||
+        fmt == Format::DiseMove ||
         // Conventional control taken inside a replacement sequence
         // aborts the expansion mid-flight; not worth modelling.
         (op.fromExpansion && op.isCtrl && op.taken &&
@@ -93,7 +105,7 @@ InstStream::jitRecordOp(const MicroOp &op)
                   (env_.monitorStores && op.inst.isStore());
     }
     if (hostile) {
-        jitFinalize(false);
+        jitFinalize();
         return;
     }
 
@@ -170,8 +182,11 @@ InstStream::jitRecordOp(const MicroOp &op)
         to.kind = TraceOpKind::DiseBranch;
         to.expectTaken = op.taken;
         break;
+      case Format::DiseCall:
+        to.kind = TraceOpKind::CallGuard; // a d_ccall that fell through
+        break;
       default:
-        jitFinalize(false);
+        jitFinalize();
         return;
     }
 
@@ -180,27 +195,27 @@ InstStream::jitRecordOp(const MicroOp &op)
     if (!expanding_ && !inHandler_ && !halted_) {
         jitRec_.lastBoundaryOps = t.ops.size();
         jitRec_.lastBoundaryPc = arch_.pc;
-        if (arch_.pc == t.startPc && t.ops.size() >= TraceMinOps) {
-            jitFinalize(true);
+        if (t.ops.size() >= TraceMinOps &&
+            (arch_.pc == t.startPc ||
+             env_.jit->lookup(arch_.pc,
+                              engine_ ? engine_->tableVersion() : 0))) {
+            jitFinalize();
             return;
         }
     }
     if (t.ops.size() >= TraceMaxOps)
-        jitFinalize(false);
+        jitFinalize();
 }
 
 void
-InstStream::jitFinalize(bool full)
+InstStream::jitFinalize()
 {
     JitRec rec = std::move(jitRec_);
     jitRec_ = JitRec{};
     Trace &t = *rec.trace;
-    if (full) {
-        t.endPc = t.startPc;
-    } else {
-        t.ops.resize(rec.lastBoundaryOps);
-        t.endPc = rec.lastBoundaryPc;
-    }
+    t.ops.resize(rec.lastBoundaryOps);
+    t.ops.shrink_to_fit();
+    t.endPc = rec.lastBoundaryPc;
     if (t.ops.size() < TraceMinOps) {
         ++env_.jit->stats().discarded;
         return;
@@ -237,6 +252,9 @@ InstStream::runTraced(uint64_t maxUops, uint64_t maxAppInsts,
             execTrace(*t, c, maxUops, maxAppInsts, appStopAtBoundary);
         if (exit != TraceExit::End) {
             ++jit->stats().sideExits;
+            // Profile the other path: the interpreter's next raw op
+            // lands where a side-exit trace would start.
+            jitSideExit_ = exit == TraceExit::Guard;
             break;
         }
     }
@@ -425,6 +443,16 @@ InstStream::execTrace(const Trace &t, TracedCounts &c, uint64_t maxUops,
             }
             break;
           }
+          case TraceOpKind::CallGuard:
+            // A false d_ccall only advances DISEPC. A true one exits
+            // before it: the interpreter re-executes the call, runs the
+            // handler and records its event at the identical µop time.
+            if (arch_.read(o.inst.ra) != 0) {
+                ++jit.stats().callExits;
+                exitAt(i);
+                return TraceExit::Guard;
+            }
+            break;
           case TraceOpKind::Ctrap:
             if (arch_.read(o.inst.ra) != 0 && env_.monitor) {
                 MicroOp mop{};

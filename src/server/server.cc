@@ -375,10 +375,13 @@ DebugServer::driveSpecJob(ManagedSession &s, const Request &req)
     s.jobs.fetch_add(1, std::memory_order_relaxed);
     s.publishProgress();
     s.pushEvents();
-    if (*idx < 0) {
+    // A replay that could not reach the old position refuses after the
+    // fact: the session rolled the edit back, so the index is void.
+    if (*idx < 0 || !s.session.lastRefusal().empty()) {
         resp.status = ResponseStatus::Unsupported;
         // The session records exactly why it refused (which journal
-        // entry blocks the rebuild, or which capability is missing).
+        // entry blocks the rebuild, which capability is missing, or
+        // where the rebuilt timeline diverged).
         resp.error = !s.session.lastRefusal().empty()
                          ? s.session.lastRefusal()
                          : "the backend cannot implement the enlarged "

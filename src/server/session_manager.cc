@@ -252,6 +252,8 @@ SessionManager::hibernate(uint64_t id, std::string *err)
     retiredUops_ += ms->uops.load(std::memory_order_relaxed);
     retiredInsts_ += ms->appInsts.load(std::memory_order_relaxed);
     retiredEvents_ += ms->events.load(std::memory_order_relaxed);
+    retiredJitUops_ += ms->jitUops.load(std::memory_order_relaxed);
+    retiredJitSideExits_ += ms->jitSideExits.load(std::memory_order_relaxed);
     retiredJobs_ += ms->jobs.load(std::memory_order_relaxed);
     retiredPushed_ += ms->eventsPushed.load(std::memory_order_relaxed);
     retiredDropped_ += ms->droppedSinks.load(std::memory_order_relaxed);
@@ -415,6 +417,8 @@ SessionManager::destroy(uint64_t id)
     retiredUops_ += ms->uops.load(std::memory_order_relaxed);
     retiredInsts_ += ms->appInsts.load(std::memory_order_relaxed);
     retiredEvents_ += ms->events.load(std::memory_order_relaxed);
+    retiredJitUops_ += ms->jitUops.load(std::memory_order_relaxed);
+    retiredJitSideExits_ += ms->jitSideExits.load(std::memory_order_relaxed);
     retiredJobs_ += ms->jobs.load(std::memory_order_relaxed);
     retiredPushed_ += ms->eventsPushed.load(std::memory_order_relaxed);
     retiredDropped_ += ms->droppedSinks.load(std::memory_order_relaxed);
@@ -460,6 +464,8 @@ SessionManager::stats() const
     s.totalUops = retiredUops_;
     s.totalAppInsts = retiredInsts_;
     s.totalEvents = retiredEvents_;
+    s.jitUops = retiredJitUops_;
+    s.jitSideExits = retiredJitSideExits_;
     s.jobs = retiredJobs_;
     s.eventsPushed = retiredPushed_;
     s.dropped = retiredDropped_;
@@ -468,6 +474,8 @@ SessionManager::stats() const
         s.totalUops += ms.uops.load(std::memory_order_relaxed);
         s.totalAppInsts += ms.appInsts.load(std::memory_order_relaxed);
         s.totalEvents += ms.events.load(std::memory_order_relaxed);
+        s.jitUops += ms.jitUops.load(std::memory_order_relaxed);
+        s.jitSideExits += ms.jitSideExits.load(std::memory_order_relaxed);
         s.jobs += ms.jobs.load(std::memory_order_relaxed);
         s.eventsPushed +=
             ms.eventsPushed.load(std::memory_order_relaxed);

@@ -90,6 +90,8 @@ class ManagedSession
     std::atomic<uint64_t> uops{0};
     std::atomic<uint64_t> appInsts{0};
     std::atomic<uint64_t> events{0};
+    std::atomic<uint64_t> jitUops{0};
+    std::atomic<uint64_t> jitSideExits{0};
     std::atomic<uint64_t> slices{0};
     /** Preemptible jobs completed on this session. */
     std::atomic<uint64_t> jobs{0};
@@ -110,6 +112,8 @@ class ManagedSession
         uops.store(st.time, std::memory_order_relaxed);
         appInsts.store(st.appInsts, std::memory_order_relaxed);
         events.store(st.events, std::memory_order_relaxed);
+        jitUops.store(st.jitUops, std::memory_order_relaxed);
+        jitSideExits.store(st.jitSideExits, std::memory_order_relaxed);
     }
     ///@}
 
@@ -321,6 +325,8 @@ class SessionManager
     uint64_t retiredUops_ = 0;
     uint64_t retiredInsts_ = 0;
     uint64_t retiredEvents_ = 0;
+    uint64_t retiredJitUops_ = 0;
+    uint64_t retiredJitSideExits_ = 0;
     uint64_t retiredJobs_ = 0;
     uint64_t retiredPushed_ = 0;
     uint64_t retiredDropped_ = 0;

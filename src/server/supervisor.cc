@@ -400,6 +400,8 @@ ShardSupervisor::fleetStats()
         fleet.totalUops += s.totalUops;
         fleet.totalAppInsts += s.totalAppInsts;
         fleet.totalEvents += s.totalEvents;
+        fleet.jitUops += s.jitUops;
+        fleet.jitSideExits += s.jitSideExits;
         fleet.eventsPushed += s.eventsPushed;
         fleet.subscribers += s.subscribers;
         fleet.dropped += s.dropped;

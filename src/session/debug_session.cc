@@ -1,6 +1,7 @@
 #include "session/debug_session.hh"
 
 #include <cstdlib>
+#include <sstream>
 
 #include "common/logging.hh"
 #include "obs/trace.hh"
@@ -51,38 +52,27 @@ int
 DebugSession::setWatchBegin(const WatchSpec &spec, bool &done)
 {
     done = true;
+    refusal_.clear();
+    const SpecLists before = specLists();
     for (size_t i = 0; i < pendingWatches_.size(); ++i) {
         if (sameWatch(pendingWatches_[i], spec)) {
             int idx = static_cast<int>(i);
+            mutedWatches_.erase(idx);
             // A spec muted before attach was never installed; arming
             // it now takes a machinery rebuild like any new spec.
-            if (attached() && watchInstalled_[i] < 0) {
-                mutedWatches_.erase(idx);
-                if (!rebuildBegin()) {
-                    mutedWatches_.insert(idx);
-                    return -1;
-                }
-                done = !rebuild_.active;
-                return idx;
-            }
-            mutedWatches_.erase(idx);
+            if (attached() && watchInstalled_[i] < 0)
+                return rebuildBegin(before, done) ? idx : -1;
             return idx;
         }
     }
-    if (attached()) {
-        // Post-attach addition: rebuild from the initial state with
-        // the enlarged set and replay to the current position. On
-        // failure the original session is untouched.
-        pendingWatches_.push_back(spec);
-        if (!rebuildBegin()) {
-            pendingWatches_.pop_back();
-            return -1;
-        }
-        done = !rebuild_.active;
-        return static_cast<int>(pendingWatches_.size()) - 1;
-    }
+    // Post-attach addition: rebuild from the initial state with the
+    // enlarged set and replay to the current position. On refusal the
+    // original session is untouched.
     pendingWatches_.push_back(spec);
-    return static_cast<int>(pendingWatches_.size()) - 1;
+    int idx = static_cast<int>(pendingWatches_.size()) - 1;
+    if (attached())
+        return rebuildBegin(before, done) ? idx : -1;
+    return idx;
 }
 
 int
@@ -92,40 +82,29 @@ DebugSession::setWatch(const WatchSpec &spec)
     int idx = setWatchBegin(spec, done);
     while (idx >= 0 && !done)
         done = rebuildStep(0);
-    return idx;
+    return refusal_.empty() ? idx : -1;
 }
 
 int
 DebugSession::setBreakBegin(const BreakSpec &spec, bool &done)
 {
     done = true;
+    refusal_.clear();
+    const SpecLists before = specLists();
     for (size_t i = 0; i < pendingBreaks_.size(); ++i) {
         if (sameBreak(pendingBreaks_[i], spec)) {
             int idx = static_cast<int>(i);
-            if (attached() && breakInstalled_[i] < 0) {
-                mutedBreaks_.erase(idx);
-                if (!rebuildBegin()) {
-                    mutedBreaks_.insert(idx);
-                    return -1;
-                }
-                done = !rebuild_.active;
-                return idx;
-            }
             mutedBreaks_.erase(idx);
+            if (attached() && breakInstalled_[i] < 0)
+                return rebuildBegin(before, done) ? idx : -1;
             return idx;
         }
     }
-    if (attached()) {
-        pendingBreaks_.push_back(spec);
-        if (!rebuildBegin()) {
-            pendingBreaks_.pop_back();
-            return -1;
-        }
-        done = !rebuild_.active;
-        return static_cast<int>(pendingBreaks_.size()) - 1;
-    }
     pendingBreaks_.push_back(spec);
-    return static_cast<int>(pendingBreaks_.size()) - 1;
+    int idx = static_cast<int>(pendingBreaks_.size()) - 1;
+    if (attached())
+        return rebuildBegin(before, done) ? idx : -1;
+    return idx;
 }
 
 int
@@ -135,7 +114,7 @@ DebugSession::setBreak(const BreakSpec &spec)
     int idx = setBreakBegin(spec, done);
     while (idx >= 0 && !done)
         done = rebuildStep(0);
-    return idx;
+    return refusal_.empty() ? idx : -1;
 }
 
 bool
@@ -260,11 +239,7 @@ DebugSession::commitMachinery(Machinery &m)
 
     // The fresh backend has empty event lists; everything re-crossed
     // during a replay is re-announced (the queue narrates traversal).
-    markCursor_ = 0;
-    announcedWatch_ = announcedBreak_ = announcedProt_ = 0;
-    announcedCheckpoints_ = announcedRestores_ = 0;
-    announcedPagesRestored_ = 0;
-    announcedHalt_ = false;
+    announced_ = Announced{};
 
     SessionEvent ev;
     ev.kind = SessionEventKind::Attached;
@@ -392,26 +367,45 @@ DebugSession::applyJournalEntry(const Intervention &iv)
     }
 }
 
+DebugSession::SpecLists
+DebugSession::specLists() const
+{
+    return {pendingWatches_.size(), pendingBreaks_.size(), mutedWatches_,
+            mutedBreaks_};
+}
+
+void
+DebugSession::restoreSpecLists(const SpecLists &before)
+{
+    pendingWatches_.erase(pendingWatches_.begin() + before.watches,
+                          pendingWatches_.end());
+    pendingBreaks_.erase(pendingBreaks_.begin() + before.breaks,
+                         pendingBreaks_.end());
+    mutedWatches_ = before.mutedWatches;
+    mutedBreaks_ = before.mutedBreaks;
+}
+
 /**
- * Plan a post-attach rebuild-replay and perform its instantaneous
- * part: capture the current position's instrumentation-invariant
- * identity and the intervention journal, build fresh machinery with
- * the enlarged spec set, and commit it. The replay back to the
- * captured position is metered out by rebuildStep(). Returns false —
- * leaving the live session untouched — when the target advanced
- * through a non-replayable batch run or the backend cannot implement
- * the enlarged set.
+ * Plan a post-attach rebuild-replay of the spec edit made since
+ * @p before and perform its instantaneous part: capture the current
+ * position's instrumentation-invariant identity and the intervention
+ * journal, build fresh machinery with the edited spec set, and commit
+ * it, setting the live machinery aside. The replay back to the
+ * captured position is metered out by rebuildStep(); @p done tells
+ * whether there is one. Returns false — the edit undone, the live
+ * session untouched — when the target advanced through a
+ * non-replayable batch run or the backend cannot implement the set.
  */
 bool
-DebugSession::rebuildBegin()
+DebugSession::rebuildBegin(const SpecLists &before, bool &done)
 {
-    refusal_.clear();
     // A batch cycle-level/functional run advanced the target outside
     // the replayable timeline: there is no position to rebuild to.
     if (batchRan_) {
         refusal_ = "rebuild refused: a batch cycle-level/functional "
                    "run advanced the target outside the replayable "
                    "timeline";
+        restoreSpecLists(before);
         return false;
     }
 
@@ -491,21 +485,57 @@ DebugSession::rebuildBegin()
                    backendName(backendKind()) +
                    " backend cannot implement the enlarged spec set";
         rebuild_ = RebuildPlan{};
+        restoreSpecLists(before);
         return false;
     }
+    if (!rebuild_.hadTravel) {
+        // Nothing to replay; rebuild_ stays inactive.
+        rebuild_ = RebuildPlan{};
+        commitMachinery(m);
+        done = true;
+        return true;
+    }
+
+    rebuild_.prev.debugger = std::move(debugger_);
+    rebuild_.prev.target = std::move(target_);
+    rebuild_.prev.watchInstalled = std::move(watchInstalled_);
+    rebuild_.prev.breakInstalled = std::move(breakInstalled_);
+    rebuild_.prev.installedWatchOwner = std::move(installedWatchOwner_);
+    rebuild_.prev.installedBreakOwner = std::move(installedBreakOwner_);
+    rebuild_.prevAnnounced = announced_;
+    rebuild_.prevSpecs = before;
     commitMachinery(m);
-
-    if (!rebuild_.hadTravel)
-        return true; // nothing to replay; rebuild_ stays inactive
-
     debugger_->timeTravel(opts_.timeTravel);
     rebuild_.active = true;
+    done = false;
     return true;
 }
 
 /**
+ * Abandon a rebuild whose replay cannot reach the session's position:
+ * put back the machinery, queue cursors and spec lists it set aside,
+ * so the edit ends as a typed refusal and the session stands where it
+ * stood. The queue narrates it as a re-attach of the old machinery.
+ */
+void
+DebugSession::rebuildRefuse(const std::string &why)
+{
+    RebuildPlan plan = std::move(rebuild_);
+    rebuild_ = RebuildPlan{};
+    commitMachinery(plan.prev);
+    announced_ = plan.prevAnnounced;
+    restoreSpecLists(plan.prevSpecs);
+    refusal_ = std::string("rebuild refused: the ") +
+               backendName(backendKind()) + " backend's rebuilt timeline " +
+               why;
+}
+
+/**
  * Advance the rebuild-replay by up to @p maxInsts application
- * instructions (0 = run to completion). Stream positions (µops) shift
+ * instructions (0 = run to completion). A replay that cannot get back
+ * (the rebuilt timeline halts early, runs past the position, or never
+ * shows the parked-on event) is refused: rebuildRefuse() restores the
+ * old session, and the call returns true. Stream positions (µops) shift
  * under different instrumentation, so the replay navigates by
  * instrumentation-invariant coordinates: journal entries are
  * re-applied at their application-instruction stamps (pokes recorded
@@ -528,8 +558,13 @@ DebugSession::rebuildStep(uint64_t maxInsts)
             return ~uint64_t{0};
         return maxInsts > used ? maxInsts - used : 0;
     };
-    // Run exactly @p need instructions (bounded by the budget);
-    // returns false when the budget expired first.
+    // Every helper below returns false when the budget expired first
+    // or the replay was refused; rebuild_.active tells which.
+    auto refuse = [&](const std::string &why) {
+        rebuildRefuse(why);
+        return false;
+    };
+    // Run exactly @p need instructions (bounded by the budget).
     auto boundedStepi = [&](uint64_t need) {
         while (need) {
             uint64_t n = std::min(need, budgetLeft());
@@ -538,8 +573,11 @@ DebugSession::rebuildStep(uint64_t maxInsts)
             uint64_t before = tt.appInsts();
             tt.stepi(n);
             uint64_t ran = tt.appInsts() - before;
-            DISE_ASSERT(ran > 0, "rebuild replay made no progress at ",
-                        tt.appInsts(), " insts");
+            if (ran == 0)
+                return refuse("stopped at " +
+                              std::to_string(tt.appInsts()) +
+                              " insts, short of " +
+                              std::to_string(rebuild_.targetInsts));
             used += ran;
             need -= std::min(need, ran);
         }
@@ -575,7 +613,7 @@ DebugSession::rebuildStep(uint64_t maxInsts)
     };
     // Run event to event until @p goal's occurrence shows up; the
     // replay then sits parked on that event's µop, exactly where the
-    // original poke was recorded. Returns false on budget expiry.
+    // original poke was recorded.
     auto runToPark = [&](ParkGoal &goal) {
         while (!goal.reached) {
             uint64_t chunk =
@@ -586,13 +624,15 @@ DebugSession::rebuildStep(uint64_t maxInsts)
             StopInfo stop = tt.contTo(tt.appInsts() + chunk);
             used += tt.appInsts() - before;
             scanMarks();
-            DISE_ASSERT(goal.reached ||
-                            stop.reason == StopReason::Event ||
-                            stop.reason == StopReason::Step,
-                        "rebuild replay lost its event position (",
-                        eventKindName(goal.mark.kind), " at pc=0x",
-                        std::hex, goal.mark.pc, std::dec, ", ",
-                        goal.mark.appInsts, " insts)");
+            if (!goal.reached && stop.reason != StopReason::Event &&
+                stop.reason != StopReason::Step) {
+                std::ostringstream why;
+                why << "never reached the parked-on event ("
+                    << eventKindName(goal.mark.kind) << " at pc=0x"
+                    << std::hex << goal.mark.pc << std::dec << ", "
+                    << goal.mark.appInsts << " insts)";
+                return refuse(why.str());
+            }
         }
         return true;
     };
@@ -609,10 +649,10 @@ DebugSession::rebuildStep(uint64_t maxInsts)
             break; // recorded at the final park: phase 3
         if (parkIdx >= 0) {
             if (!runToPark(rebuild_.parks[parkIdx]))
-                return false;
+                return !rebuild_.active;
         } else if (iv.appInsts > tt.appInsts() &&
                    !boundedStepi(iv.appInsts - tt.appInsts())) {
-            return false;
+            return !rebuild_.active;
         }
         applyJournalEntry(iv);
         ++rebuild_.nextJournal;
@@ -627,8 +667,10 @@ DebugSession::rebuildStep(uint64_t maxInsts)
                 return false;
             uint64_t before = tt.appInsts();
             tt.stepi(chunk);
-            DISE_ASSERT(tt.halted() || tt.appInsts() > before,
-                        "rebuild replay made no progress toward halt");
+            if (!tt.halted() && tt.appInsts() == before) {
+                refuse("made no progress toward the halt");
+                return true;
+            }
             used += tt.appInsts() - before;
         }
     } else if (rebuild_.parkedAtEvent) {
@@ -637,32 +679,27 @@ DebugSession::rebuildStep(uint64_t maxInsts)
         // translation works on the NEW maps here; session indices are
         // stable.)
         if (!runToPark(rebuild_.finalPark))
-            return false;
+            return !rebuild_.active;
     } else if (rebuild_.targetInsts > tt.appInsts()) {
         if (!boundedStepi(rebuild_.targetInsts - tt.appInsts()))
-            return false;
+            return !rebuild_.active;
+    }
+
+    if (tt.appInsts() != rebuild_.targetInsts) {
+        refuse("came back at " + std::to_string(tt.appInsts()) +
+               " insts, not " + std::to_string(rebuild_.targetInsts));
+        return true;
     }
 
     // Phase 3: pokes recorded at the re-found event park.
     while (rebuild_.nextJournal < rebuild_.journal.size())
         applyJournalEntry(rebuild_.journal[rebuild_.nextJournal++]);
 
-    DISE_ASSERT(tt.appInsts() == rebuild_.targetInsts,
-                "rebuild replay fell short: at ", tt.appInsts(),
-                " insts, wanted ", rebuild_.targetInsts);
     pumpEvents();
-    rebuild_.active = false;
-    return true;
-}
-
-/** The one-shot rebuild: plan, then replay to completion. */
-bool
-DebugSession::reattachAndReplay()
-{
-    if (!rebuildBegin())
-        return false;
-    while (!rebuildStep(0)) {
-    }
+    // Drop the machinery set aside, debugger before the target it
+    // references (assignment would go the other way round).
+    rebuild_.prev.debugger.reset();
+    rebuild_ = RebuildPlan{};
     return true;
 }
 
@@ -712,15 +749,15 @@ DebugSession::pumpEvents()
         halted = tt.halted();
     }
 
-    if (ts && ts->restores > announcedRestores_) {
+    if (ts && ts->restores > announced_.restores) {
         SessionEvent ev;
         ev.kind = SessionEventKind::Restore;
         ev.time = now;
         ev.appInsts = insts;
-        ev.value = ts->pagesRestored - announcedPagesRestored_;
+        ev.value = ts->pagesRestored - announced_.pagesRestored;
         events_.push(ev);
-        announcedRestores_ = ts->restores;
-        announcedPagesRestored_ = ts->pagesRestored;
+        announced_.restores = ts->restores;
+        announced_.pagesRestored = ts->pagesRestored;
     }
 
     const auto &ws = backend.watchEvents();
@@ -728,9 +765,9 @@ DebugSession::pumpEvents()
     const auto &ps = backend.protectionEvents();
     // A restore rolled the lists back: later positions will be
     // re-announced if execution re-crosses them.
-    announcedWatch_ = std::min(announcedWatch_, ws.size());
-    announcedBreak_ = std::min(announcedBreak_, bs.size());
-    announcedProt_ = std::min(announcedProt_, ps.size());
+    announced_.watch = std::min(announced_.watch, ws.size());
+    announced_.brk = std::min(announced_.brk, bs.size());
+    announced_.prot = std::min(announced_.prot, ps.size());
 
     // Each announced event carries its OWN timeline position (the
     // recorded mark), not the position the announcement happens to be
@@ -753,14 +790,14 @@ DebugSession::pumpEvents()
                    ? installedBreakOwner_[installed]
                    : installed;
     };
-    for (; announcedWatch_ < ws.size(); ++announcedWatch_) {
-        const WatchEvent &we = ws[announcedWatch_];
+    for (; announced_.watch < ws.size(); ++announced_.watch) {
+        const WatchEvent &we = ws[announced_.watch];
         int idx = sessionWatchIdx(we.wpIndex);
         if (mutedWatches_.count(idx))
             continue; // muted: consume the position, deliver nothing
         const EventMark *mark =
             hasTravel ? findMark(EventKind::Watch,
-                                 static_cast<int>(announcedWatch_))
+                                 static_cast<int>(announced_.watch))
                       : nullptr;
         SessionEvent ev;
         ev.kind = SessionEventKind::Watch;
@@ -773,14 +810,14 @@ DebugSession::pumpEvents()
         ev.newValue = we.newValue;
         events_.push(ev);
     }
-    for (; announcedBreak_ < bs.size(); ++announcedBreak_) {
-        const BreakEvent &be = bs[announcedBreak_];
+    for (; announced_.brk < bs.size(); ++announced_.brk) {
+        const BreakEvent &be = bs[announced_.brk];
         int idx = sessionBreakIdx(be.bpIndex);
         if (mutedBreaks_.count(idx))
             continue;
         const EventMark *mark =
             hasTravel ? findMark(EventKind::Break,
-                                 static_cast<int>(announcedBreak_))
+                                 static_cast<int>(announced_.brk))
                       : nullptr;
         SessionEvent ev;
         ev.kind = SessionEventKind::Break;
@@ -790,11 +827,11 @@ DebugSession::pumpEvents()
         ev.index = idx;
         events_.push(ev);
     }
-    for (; announcedProt_ < ps.size(); ++announcedProt_) {
-        const ProtectionEvent &pe = ps[announcedProt_];
+    for (; announced_.prot < ps.size(); ++announced_.prot) {
+        const ProtectionEvent &pe = ps[announced_.prot];
         const EventMark *mark =
             hasTravel ? findMark(EventKind::Protection,
-                                 static_cast<int>(announcedProt_))
+                                 static_cast<int>(announced_.prot))
                       : nullptr;
         SessionEvent ev;
         ev.kind = SessionEventKind::Protection;
@@ -826,25 +863,25 @@ DebugSession::pumpEvents()
         events_.push(ev);
     }
 
-    if (ts && ts->checkpointsTaken > announcedCheckpoints_) {
+    if (ts && ts->checkpointsTaken > announced_.checkpoints) {
         SessionEvent ev;
         ev.kind = SessionEventKind::Checkpoint;
         ev.time = now;
         ev.appInsts = insts;
-        ev.value = ts->checkpointsTaken - announcedCheckpoints_;
+        ev.value = ts->checkpointsTaken - announced_.checkpoints;
         events_.push(ev);
-        announcedCheckpoints_ = ts->checkpointsTaken;
+        announced_.checkpoints = ts->checkpointsTaken;
     }
 
-    if (halted && !announcedHalt_) {
+    if (halted && !announced_.halt) {
         SessionEvent ev;
         ev.kind = SessionEventKind::Halted;
         ev.time = now;
         ev.appInsts = insts;
         events_.push(ev);
-        announcedHalt_ = true;
+        announced_.halt = true;
     } else if (!halted) {
-        announcedHalt_ = false; // reverse travel un-halted the target
+        announced_.halt = false; // reverse travel un-halted the target
     }
 }
 
@@ -859,12 +896,12 @@ DebugSession::findMark(EventKind kind, int index)
     const auto &marks = debugger_->replayLog().marks;
     if (marks.empty())
         return nullptr;
-    if (markCursor_ >= marks.size())
-        markCursor_ = 0;
+    if (announced_.markCursor >= marks.size())
+        announced_.markCursor = 0;
     for (size_t n = 0; n < marks.size(); ++n) {
-        size_t i = (markCursor_ + n) % marks.size();
+        size_t i = (announced_.markCursor + n) % marks.size();
         if (marks[i].kind == kind && marks[i].index == index) {
-            markCursor_ = i + 1;
+            announced_.markCursor = i + 1;
             return &marks[i];
         }
     }
@@ -1100,12 +1137,12 @@ DebugSession::runCycles(TimingConfig cfg, RunLimits limits)
     batchRan_ = true;
     RunStats stats = debugger_->run(cfg, limits);
     pumpEvents();
-    if (stats.halt != HaltReason::None && !announcedHalt_) {
+    if (stats.halt != HaltReason::None && !announced_.halt) {
         SessionEvent ev;
         ev.kind = SessionEventKind::Halted;
         ev.appInsts = stats.appInsts;
         events_.push(ev);
-        announcedHalt_ = true;
+        announced_.halt = true;
     }
     return stats;
 }
@@ -1245,6 +1282,11 @@ DebugSession::stats() const
         s.replayedUops = ts->replayedUops;
     } else if (debugger_) {
         s.events = debugger_->backend().totalEvents();
+    }
+    if (target_) {
+        const TraceCacheStats &js = target_->jit()->stats();
+        s.jitUops = js.tracedUops;
+        s.jitSideExits = js.sideExits;
     }
     return s;
 }

@@ -143,8 +143,12 @@ class DebugSession
      * the current position; rebuildStep() advances that replay in
      * bounded quanta. Returns the spec index (or -1: refused, session
      * untouched); when @p done comes back false, drive rebuildStep()
-     * to completion before issuing other verbs. setWatch()/setBreak()
-     * are begin + step(0) loops. */
+     * to completion before issuing other verbs. A replay that cannot
+     * reach the old position (the rebuilt timeline diverges from the
+     * recorded one) also ends in a refusal: lastRefusal() says why,
+     * the edit is rolled back, the index is void, and the session is
+     * back on its old machinery at its old position. setWatch()/
+     * setBreak() are begin + step(0) loops and return -1 then. */
     ///@{
     int setWatchBegin(const WatchSpec &spec, bool &done);
     int setBreakBegin(const BreakSpec &spec, bool &done);
@@ -279,7 +283,8 @@ class DebugSession
         uint64_t value = 0;
     };
 
-    /** Freshly built (not yet committed) machinery for one attach. */
+    /** Machinery for one attach: freshly built (not yet committed), or
+     *  the live one a rebuild set aside. */
     struct Machinery
     {
         std::unique_ptr<DebugTarget> target;
@@ -288,6 +293,34 @@ class DebugSession
         std::vector<int> breakInstalled;
         std::vector<int> installedWatchOwner;
         std::vector<int> installedBreakOwner;
+    };
+
+    /** Event-queue cursors into one machinery's timeline; a commit of
+     *  new machinery resets them, so everything a rebuild's replay
+     *  re-crosses is re-announced (the queue narrates traversal). */
+    struct Announced
+    {
+        /** Circular-scan hint into the replay log's mark list (used to
+         *  stamp announced events with their mark positions). */
+        size_t markCursor = 0;
+        // Backend event-list positions already announced.
+        size_t watch = 0;
+        size_t brk = 0;
+        size_t prot = 0;
+        uint64_t checkpoints = 0;
+        uint64_t restores = 0;
+        uint64_t pagesRestored = 0;
+        bool halt = false;
+    };
+
+    /** The spec lists as they stood before an edit (a post-attach
+     *  addition only appends specs or unmutes them). */
+    struct SpecLists
+    {
+        size_t watches = 0;
+        size_t breaks = 0;
+        std::set<int> mutedWatches;
+        std::set<int> mutedBreaks;
     };
 
     /** Session indices of the specs one machinery build installs,
@@ -334,6 +367,13 @@ class DebugSession
          *  mark feeds every goal's occurrence count, so goals sharing
          *  an identity stay consistent. */
         size_t scanned = 0;
+        /** What the rebuild replaced: the live machinery, its queue
+         *  cursors, and the spec lists before the edit. Kept until the
+         *  replay is back at the old position; a replay that cannot get
+         *  there puts them back (rebuildRefuse). */
+        Machinery prev;
+        Announced prevAnnounced;
+        SpecLists prevSpecs;
     };
 
     /** Position/digest anchors of an in-flight resurrection replay. */
@@ -360,8 +400,10 @@ class DebugSession
     bool buildMachinery(Machinery &m, const SpecSet &specs);
     bool attachWith(const SpecSet &specs);
     void commitMachinery(Machinery &m);
-    bool reattachAndReplay();
-    bool rebuildBegin();
+    SpecLists specLists() const;
+    void restoreSpecLists(const SpecLists &before);
+    bool rebuildBegin(const SpecLists &before, bool &done);
+    void rebuildRefuse(const std::string &why);
     void applyJournalEntry(const Intervention &iv);
     void markDetail(const EventMark &mk, int &sessIdx, Addr &addr) const;
     StopInfo restartMutedReverse(StopInfo stop, bool &done);
@@ -409,18 +451,9 @@ class DebugSession
     RequestKind sliceVerb_ = RequestKind::Ping;
 
     EventQueue events_;
-    /** Circular-scan hint into the replay log's mark list (used to
-     *  stamp announced events with their mark positions). */
-    size_t markCursor_ = 0;
-    // Backend event-list positions already announced on the queue.
-    size_t announcedWatch_ = 0;
-    size_t announcedBreak_ = 0;
-    size_t announcedProt_ = 0;
+    Announced announced_;
+    /** Tool findings already announced (kept across rebuilds). */
     size_t announcedToolFindings_ = 0;
-    uint64_t announcedCheckpoints_ = 0;
-    uint64_t announcedRestores_ = 0;
-    uint64_t announcedPagesRestored_ = 0;
-    bool announcedHalt_ = false;
 };
 
 } // namespace dise

@@ -743,6 +743,8 @@ encodeResponse(const Response &resp)
         w.num("st.restores", resp.stats.restores);
         w.num("st.undo_restored", resp.stats.undoBytesRestored);
         w.num("st.replayed", resp.stats.replayedUops);
+        w.num("st.jit_uops", resp.stats.jitUops);
+        w.num("st.jit_side_exits", resp.stats.jitSideExits);
     }
     if (resp.inReplyTo == RequestKind::ServerStats) {
         w.num("sv.active", resp.server.activeSessions);
@@ -757,6 +759,8 @@ encodeResponse(const Response &resp)
         w.num("sv.uops", resp.server.totalUops);
         w.num("sv.insts", resp.server.totalAppInsts);
         w.num("sv.events", resp.server.totalEvents);
+        w.num("sv.jit_uops", resp.server.jitUops);
+        w.num("sv.jit_side_exits", resp.server.jitSideExits);
         w.num("sv.pushed", resp.server.eventsPushed);
         w.num("sv.subs", resp.server.subscribers);
         w.num("sv.dropped", resp.server.dropped);
@@ -879,6 +883,8 @@ decodeResponse(const std::string &line, Response &resp, std::string *err)
         r.num("st.restores", resp.stats.restores);
         r.num("st.undo_restored", resp.stats.undoBytesRestored);
         r.num("st.replayed", resp.stats.replayedUops);
+        r.num("st.jit_uops", resp.stats.jitUops);
+        r.num("st.jit_side_exits", resp.stats.jitSideExits);
     }
     if (resp.inReplyTo == RequestKind::ServerStats) {
         r.num("sv.active", resp.server.activeSessions);
@@ -893,6 +899,8 @@ decodeResponse(const std::string &line, Response &resp, std::string *err)
         r.num("sv.uops", resp.server.totalUops);
         r.num("sv.insts", resp.server.totalAppInsts);
         r.num("sv.events", resp.server.totalEvents);
+        r.num("sv.jit_uops", resp.server.jitUops);
+        r.num("sv.jit_side_exits", resp.server.jitSideExits);
         r.num("sv.pushed", resp.server.eventsPushed);
         r.num("sv.subs", resp.server.subscribers);
         r.num("sv.dropped", resp.server.dropped);
@@ -1023,13 +1031,16 @@ Response::describe() const
            << " events=" << stats.events << " checkpoints="
            << stats.checkpoints << " pagesCopied=" << stats.pagesCopied
            << " undoBytes=" << stats.undoBytes
-           << " restores=" << stats.restores;
+           << " restores=" << stats.restores
+           << " jitUops=" << stats.jitUops
+           << " jitSideExits=" << stats.jitSideExits;
     if (inReplyTo == RequestKind::ServerStats)
         os << " sessions=" << server.activeSessions << " (peak "
            << server.peakSessions << ", cap " << server.maxSessions
            << ") created=" << server.created << " rejected="
            << server.rejected << " slices=" << server.slices
-           << " uops=" << server.totalUops;
+           << " uops=" << server.totalUops
+           << " jitUops=" << server.jitUops;
     return os.str();
 }
 

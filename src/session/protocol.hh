@@ -147,6 +147,11 @@ struct SessionStats
     uint64_t restores = 0;
     uint64_t undoBytesRestored = 0; ///< undo pre-image bytes written back
     uint64_t replayedUops = 0;
+    /** Trace-JIT counters of the session's current target (a rebuild
+     *  starts a fresh target at 0). Explanatory only: no digest or
+     *  oracle reads them, so they may differ with the cache on or off. */
+    uint64_t jitUops = 0;      ///< µops retired from traces
+    uint64_t jitSideExits = 0; ///< traces left before their natural end
 };
 
 /** Server-level aggregates (ServerStats request): per-session stats
@@ -166,6 +171,8 @@ struct ServerStats
     uint64_t totalUops = 0;   ///< µops executed, all sessions ever
     uint64_t totalAppInsts = 0;
     uint64_t totalEvents = 0;
+    uint64_t jitUops = 0;      ///< µops retired from traces, all sessions
+    uint64_t jitSideExits = 0; ///< trace side exits, all sessions
     uint64_t eventsPushed = 0; ///< events delivered to subscribers
     uint64_t subscribers = 0;  ///< live event subscriptions
 

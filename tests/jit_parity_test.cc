@@ -9,7 +9,12 @@
  * session script — forward runs, slices, steps, reverse travel, a
  * mid-run tool enable, and a full replay-verify — under every backend
  * three times: cache off, cache on, and cache flipped between verbs.
- * Any divergence in the recorded stop log is a failure.
+ * Any divergence in the recorded stop log is a failure. Two programs
+ * run the script: a register-only hot loop with a watch hit per outer
+ * lap, and a loop whose traced body stores (to unwatched cells and,
+ * every 64th lap, to the watched one) and branches on data, so watch
+ * hits arrive through in-trace d_ccall guards and side-exit traces
+ * form and link back to the loop trace.
  */
 
 #include <gtest/gtest.h>
@@ -62,6 +67,50 @@ hotLoopProgram()
     return a.finish("main");
 }
 
+/**
+ * Every lap stores to "sink" and to one of two neighbouring quads: the
+ * unwatched "spill" on most laps, the watched "mark" on every 64th
+ * (a new value each time, so each such lap is a watch hit). An
+ * odd/even forward branch sends half the laps down each path.
+ */
+Program
+guardedStoreLoopProgram()
+{
+    Assembler a;
+    a.data(layout::DataBase);
+    a.label("mark");
+    a.quad(0);
+    a.label("spill");
+    a.quad(0);
+    a.label("sink");
+    a.quad(0);
+    a.text(layout::TextBase);
+    a.label("main");
+    a.la(s0, "spill");
+    a.la(s1, "sink");
+    a.li(s2, 400);
+    a.lda(t1, 0, zero);
+    a.lda(t3, 0, zero);
+    a.label("loop");
+    a.stmt(1);
+    a.stq(t3, 0, s1);
+    a.and_(t1, 63, t4);
+    a.cmpeq(t4, 63, t4);
+    a.sll(t4, 3, t4);
+    a.subq(s0, t4, t5); // &mark on every 64th lap, else &spill
+    a.stq(t1, 0, t5);
+    a.and_(t1, 1, t4);
+    a.beq(t4, "even");
+    a.addq(t3, 3, t3);
+    a.label("even");
+    a.addq(t3, t1, t3);
+    a.addq(t1, 1, t1);
+    a.cmplt(t1, s2, t4);
+    a.bne(t4, "loop");
+    a.syscall(SysExit);
+    return a.finish("main");
+}
+
 enum class JitMode { Off, On, Flip };
 
 /**
@@ -71,11 +120,12 @@ enum class JitMode { Off, On, Flip };
  * interval-replay verification. Returns the log for cross-mode diff.
  */
 std::vector<std::string>
-runScenario(BackendKind kind, JitMode mode, uint64_t *tracedUops)
+runScenario(const Program &prog, const DebuggerOptions &dbg, JitMode mode,
+            TraceCacheStats *jitStats)
 {
-    Program prog = hotLoopProgram();
+    const BackendKind kind = dbg.backend;
     SessionOptions o;
-    o.debugger.backend = kind;
+    o.debugger = dbg;
     o.timeTravel.checkpointInterval = 64;
     DebugSession session(prog, o);
     EXPECT_GE(session.setWatch(
@@ -144,9 +194,46 @@ runScenario(BackendKind kind, JitMode mode, uint64_t *tracedUops)
         log.push_back(os.str());
     }
 
-    if (tracedUops)
-        *tracedUops = session.target().jit()->stats().tracedUops;
+    if (jitStats)
+        *jitStats = session.target().jit()->stats();
     return log;
+}
+
+/** Run the script off, on and flipped; every log line must agree.
+ *  Returns the on-leg's trace-cache counters. */
+TraceCacheStats
+expectConverge(const Program &prog, const DebuggerOptions &dbg)
+{
+    const char *name = backendName(dbg.backend);
+    TraceCacheStats on;
+    std::vector<std::string> offLog =
+        runScenario(prog, dbg, JitMode::Off, nullptr);
+    std::vector<std::string> onLog =
+        runScenario(prog, dbg, JitMode::On, &on);
+    std::vector<std::string> flipLog =
+        runScenario(prog, dbg, JitMode::Flip, nullptr);
+    EXPECT_EQ(offLog.size(), onLog.size()) << name;
+    EXPECT_EQ(offLog.size(), flipLog.size()) << name;
+    for (size_t i = 0; i < offLog.size() && i < onLog.size() &&
+                       i < flipLog.size();
+         ++i) {
+        EXPECT_EQ(offLog[i], onLog[i])
+            << name << " diverged (trace on) at step " << i;
+        EXPECT_EQ(offLog[i], flipLog[i])
+            << name << " diverged (flip) at step " << i;
+    }
+    // The on-leg must actually have exercised the trace cache, or the
+    // parity above proves nothing.
+    EXPECT_GT(on.tracedUops, 0u) << name;
+    return on;
+}
+
+DebuggerOptions
+backendOptions(BackendKind kind)
+{
+    DebuggerOptions d;
+    d.backend = kind;
+    return d;
 }
 
 class JitParity : public ::testing::TestWithParam<BackendKind>
@@ -155,25 +242,36 @@ class JitParity : public ::testing::TestWithParam<BackendKind>
 
 TEST_P(JitParity, TraceOnOffAndFlipConverge)
 {
+    expectConverge(hotLoopProgram(), backendOptions(GetParam()));
+}
+
+/**
+ * Watch hits inside traced store loops. Under the DISE default
+ * production the hits leave the trace through a d_ccall guard, and the
+ * odd/even branch grows a side-exit trace linked back to the loop
+ * trace: more traces than the program's one loop head.
+ */
+TEST_P(JitParity, GuardedStoresAndSideExitTracesConverge)
+{
     BackendKind kind = GetParam();
-    uint64_t traced = 0;
-    std::vector<std::string> off = runScenario(kind, JitMode::Off,
-                                               nullptr);
-    std::vector<std::string> on = runScenario(kind, JitMode::On,
-                                              &traced);
-    std::vector<std::string> flip = runScenario(kind, JitMode::Flip,
-                                                nullptr);
-    ASSERT_EQ(off.size(), on.size());
-    ASSERT_EQ(off.size(), flip.size());
-    for (size_t i = 0; i < off.size(); ++i) {
-        EXPECT_EQ(off[i], on[i])
-            << backendName(kind) << " diverged (trace on) at step " << i;
-        EXPECT_EQ(off[i], flip[i])
-            << backendName(kind) << " diverged (flip) at step " << i;
+    TraceCacheStats s =
+        expectConverge(guardedStoreLoopProgram(), backendOptions(kind));
+    if (kind == BackendKind::Dise) {
+        EXPECT_GT(s.sideExits, 0u);
+        EXPECT_GT(s.callExits, 0u);
+        EXPECT_GT(s.built, 1u);
     }
-    // The on-leg must actually have exercised the trace cache, or the
-    // parity above proves nothing.
-    EXPECT_GT(traced, 0u) << backendName(kind);
+}
+
+/** The condCallTrap=false production skips its d_call with a d_beq:
+ *  the trace carries the skip as a DiseBranch guard. */
+TEST(JitParityDise, BranchOverCallShapeConverges)
+{
+    DebuggerOptions d = backendOptions(BackendKind::Dise);
+    d.dise.condCallTrap = false;
+    TraceCacheStats s = expectConverge(guardedStoreLoopProgram(), d);
+    EXPECT_GT(s.sideExits, 0u);
+    EXPECT_GT(s.built, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, JitParity,

@@ -187,6 +187,8 @@ TEST(SessionManager, StatsRollAcrossDestroy)
     ServerStats live = mgr.stats();
     EXPECT_GT(live.totalAppInsts, 0u);
     EXPECT_GT(live.totalUops, 0u);
+    EXPECT_GT(live.jitUops, 0u);
+    EXPECT_LE(live.jitUops, live.totalUops);
 
     // The totals survive the session's destruction (retired rollup).
     EXPECT_TRUE(mgr.destroy(ms->id));
@@ -194,6 +196,8 @@ TEST(SessionManager, StatsRollAcrossDestroy)
     EXPECT_EQ(after.activeSessions, 0u);
     EXPECT_EQ(after.destroyed, 1u);
     EXPECT_EQ(after.totalAppInsts, live.totalAppInsts);
+    EXPECT_EQ(after.jitUops, live.jitUops);
+    EXPECT_EQ(after.jitSideExits, live.jitSideExits);
 }
 
 // ------------------------------------------------------------ JobScheduler

@@ -13,6 +13,7 @@
 #include "asm/assembler.hh"
 #include "cpu/loader.hh"
 #include "session/debug_session.hh"
+#include "workloads/workload.hh"
 
 namespace dise {
 namespace {
@@ -161,6 +162,61 @@ TEST(SessionProtocol, StatsReplyRoundTripsUndoBytes)
     EXPECT_EQ(back.stats.restores, 2u);
     EXPECT_EQ(back.stats.undoBytesRestored, 3u * 64);
     EXPECT_EQ(back.stats.replayedUops, 99u);
+}
+
+TEST(SessionProtocol, JitCountersRoundTrip)
+{
+    Response resp;
+    resp.inReplyTo = RequestKind::Stats;
+    resp.stats.time = 900;
+    resp.stats.jitUops = 812;
+    resp.stats.jitSideExits = 17;
+    std::string wire = encodeResponse(resp);
+    EXPECT_NE(wire.find("st.jit_uops=812"), std::string::npos) << wire;
+    EXPECT_NE(wire.find("st.jit_side_exits=17"), std::string::npos)
+        << wire;
+    Response back;
+    ASSERT_TRUE(decodeResponse(wire, back));
+    EXPECT_EQ(back.stats.jitUops, 812u);
+    EXPECT_EQ(back.stats.jitSideExits, 17u);
+
+    resp = Response{};
+    resp.inReplyTo = RequestKind::ServerStats;
+    resp.server.totalUops = 5000;
+    resp.server.jitUops = 4100;
+    resp.server.jitSideExits = 33;
+    wire = encodeResponse(resp);
+    EXPECT_NE(wire.find("sv.jit_uops=4100"), std::string::npos) << wire;
+    ASSERT_TRUE(decodeResponse(wire, back));
+    EXPECT_EQ(back.server.jitUops, 4100u);
+    EXPECT_EQ(back.server.jitSideExits, 33u);
+}
+
+/** The JIT counters explain; they do not identify. A session run with
+ *  the trace cache off reports zero of them and the same digest. */
+TEST(DebugSession, JitCountersStayOutOfDigests)
+{
+    uint64_t digest[2];
+    SessionStats st[2];
+    for (int jit = 0; jit < 2; ++jit) {
+        Program demo = buildHeisenbugDemo();
+        SessionOptions so;
+        if (!jit)
+            so.prepare = [](DebugTarget &t) {
+                t.jit()->config().enabled = false;
+            };
+        DebugSession s(demo, so);
+        s.setWatch(WatchSpec::scalar("directory", demo.symbol("directory"),
+                                     8));
+        ASSERT_EQ(s.runToEnd().reason, StopReason::Halted);
+        digest[jit] = s.digest();
+        st[jit] = s.stats();
+    }
+    EXPECT_EQ(digest[1], digest[0]);
+    EXPECT_EQ(st[1].time, st[0].time);
+    EXPECT_EQ(st[0].jitUops, 0u);
+    EXPECT_GT(st[1].jitUops, 0u);
+    EXPECT_LE(st[1].jitUops, st[1].time);
 }
 
 TEST(SessionProtocol, ServerStatsHistogramsRoundTrip)
@@ -553,6 +609,78 @@ TEST(DebugSession, PostAttachAdditionRefusedAfterBatchRun)
     ASSERT_TRUE(session.attach());
     session.runCycles();
     EXPECT_LT(session.setWatch(WatchSpec::scalar("y", 0x99999, 8)), 0);
+}
+
+/**
+ * The heisenbug demo with "directory" watched: a post-attach watch on
+ * the often-stored "table"+8 rebuilds and replays to the session's
+ * position. Where the rebuilt timeline cannot reach that position (the
+ * rewrite backend today), the addition is a typed refusal (-1, with a
+ * reason) and the session stays usable where it was, on its old
+ * machinery; on the other backends it succeeds. Scripted parked at
+ * the first hit, parked at the end, and parked at the end with the
+ * replay metered out in slices (the server's job path).
+ */
+TEST(DebugSession, PostAttachWatchOnHotCellRebuildsOrRefusesTyped)
+{
+    for (BackendKind kind :
+         {BackendKind::Dise, BackendKind::SingleStep,
+          BackendKind::VirtualMemory, BackendKind::HardwareReg,
+          BackendKind::Rewrite}) {
+        for (int mode = 0; mode < 3; ++mode) {
+            const bool atEnd = mode > 0, sliced = mode == 2;
+            SCOPED_TRACE(std::string(backendName(kind)) +
+                         (atEnd ? " at end" : " at first hit") +
+                         (sliced ? ", sliced" : ""));
+            Program demo = buildHeisenbugDemo();
+            SessionOptions so;
+            so.debugger.backend = kind;
+            so.timeTravel.checkpointInterval = 300;
+            DebugSession s(demo, so);
+            ASSERT_EQ(s.setWatch(WatchSpec::scalar(
+                          "directory", demo.symbol("directory"), 8)),
+                      0);
+            StopInfo before = s.cont();
+            ASSERT_EQ(before.reason, StopReason::Event);
+            if (atEnd) {
+                before = s.runToEnd();
+                ASSERT_EQ(before.reason, StopReason::Halted);
+            }
+            uint64_t digest = s.digest();
+            size_t events = s.eventCount();
+
+            WatchSpec hot =
+                WatchSpec::scalar("table", demo.symbol("table") + 8, 8);
+            int idx = -1;
+            if (sliced) {
+                bool done = false;
+                idx = s.setWatchBegin(hot, done);
+                while (idx >= 0 && !done)
+                    done = s.rebuildStep(500);
+                if (!s.lastRefusal().empty())
+                    idx = -1;
+            } else {
+                idx = s.setWatch(hot);
+            }
+            if (idx < 0) {
+                EXPECT_NE(s.lastRefusal(), "");
+                EXPECT_EQ(s.digest(), digest);
+                EXPECT_EQ(s.eventCount(), events);
+            } else {
+                EXPECT_EQ(idx, 1);
+            }
+            if (kind != BackendKind::Rewrite) {
+                EXPECT_EQ(idx, 1) << s.lastRefusal();
+            }
+            // Usable either way: the session runs on to the end and its
+            // recorded timeline still verifies.
+            StopInfo end = s.runToEnd();
+            EXPECT_EQ(end.reason, StopReason::Halted);
+            IntervalReplay::Report rep = s.verifyReplay(1);
+            EXPECT_TRUE(rep.ok) << rep.error;
+            EXPECT_EQ(rep.finalDigest, s.digest());
+        }
+    }
 }
 
 TEST(DebugSession, BatchAnnouncementsCarryMarkPositions)
