@@ -126,11 +126,27 @@ MainMemory::applyUndo(const UndoLog &log)
 void
 MainMemory::copyImageFrom(const MainMemory &src)
 {
-    pages_.clear();
+    // A replica already holds most of src's frames (its attach loaded
+    // the same program): overwrite those in place, allocate only the
+    // missing ones, and erase the frames src lacks.
+    for (auto it = pages_.begin(); it != pages_.end();) {
+        if (src.pages_.count(it->first)) {
+            ++it;
+            continue;
+        }
+        if (it->second->codeCached)
+            notifyCodeWrite(*it->second, it->first);
+        it = pages_.erase(it);
+    }
     for (const auto &[frame, page] : src.pages_) {
-        auto copy = std::make_unique<Page>();
-        std::memcpy(copy->bytes, page->bytes, PageBytes);
-        pages_.emplace(frame, std::move(copy));
+        std::unique_ptr<Page> &slot = pages_[frame];
+        if (!slot)
+            slot = std::make_unique<Page>();
+        std::memcpy(slot->bytes, page->bytes, PageBytes);
+        // The copied contents are the open interval's new baseline.
+        slot->undoEpoch = 0;
+        if (slot->codeCached)
+            notifyCodeWrite(*slot, frame);
     }
     invalidatePagePointerCaches();
 }
@@ -143,21 +159,56 @@ MainMemory::invalidatePagePointerCaches()
     fetchPage_ = nullptr;
 }
 
+namespace {
+
+/** Odd multiplier (2^64 / golden ratio): multiplying by it is a
+ *  bijection on 64-bit words. */
+constexpr uint64_t kHashMul = 0x9e3779b97f4a7c15ull;
+
+/** One bijective mixing step: odd multiply, then xor-shift. */
+inline uint64_t
+wordMix(uint64_t x)
+{
+    x *= kHashMul;
+    return x ^ (x >> 32);
+}
+
+} // namespace
+
 uint64_t
 MainMemory::contentHash(uint64_t seed) const
 {
+    // One pass per page over 8-byte words, striped across kLanes
+    // independent lanes so the multiplies overlap; the all-zero test
+    // rides along as an OR of every word. Each step is a bijection of
+    // (lane ^ word), and the lanes fold through bijective steps, so
+    // flipping any single bit changes the page's hash.
+    constexpr unsigned kLanes = 8;
+    constexpr uint64_t kWords = PageBytes / 8;
+    static_assert(kWords % kLanes == 0, "lanes stripe a page exactly");
     // Order-independent: combine per-page hashes with addition so the
     // unordered map's iteration order cannot leak into the digest.
     uint64_t acc = seed;
     for (const auto &[frame, page] : pages_) {
-        bool zero = true;
-        for (uint64_t i = 0; i < PageBytes && zero; ++i)
-            zero = page->bytes[i] == 0;
-        if (zero)
+        uint64_t lane[kLanes];
+        for (unsigned j = 0; j < kLanes; ++j)
+            lane[j] = (j + 1) * kHashMul;
+        uint64_t any = 0;
+        const uint8_t *p = page->bytes;
+        for (uint64_t i = 0; i < kWords; i += kLanes, p += 8 * kLanes) {
+            for (unsigned j = 0; j < kLanes; ++j) {
+                uint64_t w;
+                std::memcpy(&w, p + 8 * j, 8);
+                any |= w;
+                lane[j] = wordMix(lane[j] ^ w);
+            }
+        }
+        // Zero pages hash like absent ones.
+        if (!any)
             continue;
-        uint64_t h = FnvOffsetBasis ^ frame;
-        for (uint64_t i = 0; i < PageBytes; ++i)
-            h = fnvMix(h, page->bytes[i]);
+        uint64_t h = wordMix(FnvOffsetBasis ^ frame);
+        for (unsigned j = 0; j < kLanes; ++j)
+            h = wordMix(h ^ lane[j]);
         acc += h;
     }
     return acc;

@@ -165,7 +165,8 @@ class MainMemory
     /**
      * Order-independent hash of all nonzero page contents (pages that
      * are entirely zero hash identically to absent ones, so a restored
-     * image digests equal to a never-touched one).
+     * image digests equal to a never-touched one). One word-wise pass
+     * per page: about 0.3 ms for mcf's ~1000 pages.
      */
     uint64_t contentHash(uint64_t seed = FnvOffsetBasis) const;
 

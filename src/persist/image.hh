@@ -122,8 +122,9 @@ enum class ImageErr : uint8_t {
 const char *imageErrName(ImageErr err);
 
 /** v2 added tool-enable/disable interventions and tool digests; v3
- *  the installed spec sets. */
-constexpr uint32_t kImageVersion = 3;
+ *  the installed spec sets; v4 the word-wise memory content hash
+ *  (every stored state digest changed). */
+constexpr uint32_t kImageVersion = 4;
 
 /** FNV-1a 64 (the persistence layer's integrity hash). */
 uint64_t fnv64(const uint8_t *data, size_t n);

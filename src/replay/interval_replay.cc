@@ -272,16 +272,37 @@ IntervalReplay::Worker::step(uint64_t maxUops)
         }
     };
 
-    while (time_ < interval_.toTime && budget--) {
+    while (time_ < interval_.toTime && budget) {
         applyHere();
-        MicroOp &op = scratchOp_;
-        DISE_ASSERT(stream_->next(op),
-                    "interval replay halted before its interval end "
-                    "(t=", time_, ", wanted t=", interval_.toTime, ")");
-        ++time_;
-        ++interval_.uopsReplayed;
-        if (op.isAppInst())
-            ++appInsts_;
+        // Cached traces run up to the range end, the next logged
+        // intervention (strictly ahead once applyHere() ran) or the
+        // budget, whichever is nearest; a trace exits right after a
+        // µop that fired an event, so pollEvents() still checks each
+        // mark at its exact time.
+        uint64_t cap = std::min(interval_.toTime - time_, budget);
+        if (nextIntervention_ < ivs.size())
+            cap = std::min(cap, ivs[nextIntervention_].time - time_);
+        InstStream::TracedCounts c = stream_->runTraced(
+            cap, 0, /*appStopAtBoundary=*/false);
+        if (c.uops) {
+            time_ += c.uops;
+            appInsts_ += c.appInsts;
+            interval_.uopsReplayed += c.uops;
+            interval_.tracedUops += c.uops;
+            budget -= c.uops;
+        } else {
+            // No trace applies here: interpret one µop.
+            MicroOp &op = scratchOp_;
+            DISE_ASSERT(stream_->next(op),
+                        "interval replay halted before its interval "
+                        "end (t=", time_, ", wanted t=",
+                        interval_.toTime, ")");
+            ++time_;
+            ++interval_.uopsReplayed;
+            if (op.isAppInst())
+                ++appInsts_;
+            --budget;
+        }
         pollEvents();
     }
     if (time_ < interval_.toTime)
@@ -352,6 +373,7 @@ IntervalReplay::stitch(std::vector<Interval> results) const
     for (size_t i = 0; i < r.intervals.size(); ++i) {
         const Interval &iv = r.intervals[i];
         r.uopsReplayed += iv.uopsReplayed;
+        r.tracedUops += iv.tracedUops;
         r.marksVerified += iv.marksVerified;
         // Full coverage: the sorted chunks must tile the checkpoint
         // list exactly.

@@ -30,6 +30,15 @@
  * walk), so a finer or dynamic cut only adds set-up. Eight ranges
  * give seven interior digest stitches on top of the final one.
  *
+ * Replicas replay on the trace JIT (InstStream::runTraced) with the
+ * stop discipline of TimeTravel::bulkStep: a traced chunk never
+ * crosses the range end, the next logged intervention or the step
+ * budget, and a trace exits right after a µop that fired an event, so
+ * every recorded mark is still checked at its exact time. Where no
+ * trace applies, the replica interprets one µop. Each start and end
+ * digest hashes the replica's whole memory image, word-wise (about
+ * 0.3 ms for mcf's ~1000 pages).
+ *
  * Workers read the live session (checkpoints, marks, interventions,
  * memory pages) strictly read-only, so any number of them may run
  * concurrently while the session is quiescent. Each worker's replay is
@@ -76,6 +85,7 @@ class IntervalReplay
         uint64_t startDigest = 0; ///< digest of the materialized start
         uint64_t endDigest = 0;   ///< digest after replaying to toTime
         uint64_t uopsReplayed = 0;
+        uint64_t tracedUops = 0;  ///< of uopsReplayed, run from traces
         size_t marksVerified = 0; ///< recorded events re-fired on cue
     };
 
@@ -91,6 +101,9 @@ class IntervalReplay
         uint64_t liveDigest = 0;  ///< the session's own digest
         uint64_t finalDigest = 0; ///< last chunk's end digest
         uint64_t uopsReplayed = 0;
+        /** Of uopsReplayed, µops the replicas ran from cached traces
+         *  (tracedUops / uopsReplayed is the replica JIT coverage). */
+        uint64_t tracedUops = 0;
         size_t marksVerified = 0;
         std::vector<Interval> intervals; ///< sorted by cpFrom
     };

@@ -256,6 +256,8 @@ SessionManager::hibernate(uint64_t id, std::string *err)
     retiredJitSideExits_ += ms->jitSideExits.load(std::memory_order_relaxed);
     retiredJobs_ += ms->jobs.load(std::memory_order_relaxed);
     retiredPushed_ += ms->eventsPushed.load(std::memory_order_relaxed);
+    retiredEventsDropped_ +=
+        ms->eventsDropped.load(std::memory_order_relaxed);
     retiredDropped_ += ms->droppedSinks.load(std::memory_order_relaxed);
     return true;
 }
@@ -421,6 +423,8 @@ SessionManager::destroy(uint64_t id)
     retiredJitSideExits_ += ms->jitSideExits.load(std::memory_order_relaxed);
     retiredJobs_ += ms->jobs.load(std::memory_order_relaxed);
     retiredPushed_ += ms->eventsPushed.load(std::memory_order_relaxed);
+    retiredEventsDropped_ +=
+        ms->eventsDropped.load(std::memory_order_relaxed);
     retiredDropped_ += ms->droppedSinks.load(std::memory_order_relaxed);
     // The on-disk image (if any) dies with the session.
     if (store_)
@@ -468,6 +472,7 @@ SessionManager::stats() const
     s.jitSideExits = retiredJitSideExits_;
     s.jobs = retiredJobs_;
     s.eventsPushed = retiredPushed_;
+    s.eventsDropped = retiredEventsDropped_;
     s.dropped = retiredDropped_;
     for (const auto &kv : sessions_) {
         const ManagedSession &ms = *kv.second;
@@ -479,6 +484,8 @@ SessionManager::stats() const
         s.jobs += ms.jobs.load(std::memory_order_relaxed);
         s.eventsPushed +=
             ms.eventsPushed.load(std::memory_order_relaxed);
+        s.eventsDropped +=
+            ms.eventsDropped.load(std::memory_order_relaxed);
         s.dropped += ms.droppedSinks.load(std::memory_order_relaxed);
         s.subscribers += ms.subscriberCount();
     }

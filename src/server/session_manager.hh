@@ -99,6 +99,8 @@ class ManagedSession
     std::atomic<uint64_t> eventsPushed{0};
     /** Subscriptions dropped because the peer stopped draining. */
     std::atomic<uint64_t> droppedSinks{0};
+    /** Events dropped from the backlog while nobody subscribed. */
+    std::atomic<uint64_t> eventsDropped{0};
     /** Logical-clock stamp of the last verb served (LRU eviction
      *  order; set via SessionManager::touch()). */
     std::atomic<uint64_t> lastTouch{0};
@@ -155,14 +157,20 @@ class ManagedSession
     }
 
     /** Drain the event queue to the subscribers (call with exclusive
-     *  session access). With no subscribers the queue keeps
-     *  accumulating for in-process consumers, as before. */
+     *  session access). With no subscribers the queue keeps only its
+     *  newest kBacklogEvents events for a later subscriber; older ones
+     *  are dropped and counted, and the gap shows in their seqs. */
     void
     pushEvents()
     {
         std::lock_guard<std::mutex> lk(sinkMu_);
-        if (sinks_.empty())
+        if (sinks_.empty()) {
+            EventQueue &q = session.events();
+            SessionEvent old;
+            while (q.size() > kBacklogEvents && q.poll(old))
+                eventsDropped.fetch_add(1, std::memory_order_relaxed);
             return;
+        }
         // Spans any backpressure stall: a full socket buffer parks
         // deliver() inside this scope until TCP drains or times out.
         TRACE_SPAN("session", "session.push");
@@ -193,6 +201,9 @@ class ManagedSession
             obs::metrics().eventPushUs.observe(obs::usSince(t0));
     }
     ///@}
+
+    /** Events an unsubscribed session keeps for a later subscriber. */
+    static constexpr size_t kBacklogEvents = 4096;
 
   private:
     mutable std::mutex sinkMu_;
@@ -329,6 +340,7 @@ class SessionManager
     uint64_t retiredJitSideExits_ = 0;
     uint64_t retiredJobs_ = 0;
     uint64_t retiredPushed_ = 0;
+    uint64_t retiredEventsDropped_ = 0;
     uint64_t retiredDropped_ = 0;
 };
 

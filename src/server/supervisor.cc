@@ -403,6 +403,7 @@ ShardSupervisor::fleetStats()
         fleet.jitUops += s.jitUops;
         fleet.jitSideExits += s.jitSideExits;
         fleet.eventsPushed += s.eventsPushed;
+        fleet.eventsDropped += s.eventsDropped;
         fleet.subscribers += s.subscribers;
         fleet.dropped += s.dropped;
         fleet.hibernated += s.hibernated;

@@ -762,6 +762,7 @@ encodeResponse(const Response &resp)
         w.num("sv.jit_uops", resp.server.jitUops);
         w.num("sv.jit_side_exits", resp.server.jitSideExits);
         w.num("sv.pushed", resp.server.eventsPushed);
+        w.num("sv.events_dropped", resp.server.eventsDropped);
         w.num("sv.subs", resp.server.subscribers);
         w.num("sv.dropped", resp.server.dropped);
         w.num("sv.hibernated", resp.server.hibernated);
@@ -902,6 +903,7 @@ decodeResponse(const std::string &line, Response &resp, std::string *err)
         r.num("sv.jit_uops", resp.server.jitUops);
         r.num("sv.jit_side_exits", resp.server.jitSideExits);
         r.num("sv.pushed", resp.server.eventsPushed);
+        r.num("sv.events_dropped", resp.server.eventsDropped);
         r.num("sv.subs", resp.server.subscribers);
         r.num("sv.dropped", resp.server.dropped);
         r.num("sv.hibernated", resp.server.hibernated);

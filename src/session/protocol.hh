@@ -174,6 +174,7 @@ struct ServerStats
     uint64_t jitUops = 0;      ///< µops retired from traces, all sessions
     uint64_t jitSideExits = 0; ///< trace side exits, all sessions
     uint64_t eventsPushed = 0; ///< events delivered to subscribers
+    uint64_t eventsDropped = 0; ///< backlog events no subscriber took
     uint64_t subscribers = 0;  ///< live event subscriptions
 
     // Durable-session counters (a server with no store reports 0s).

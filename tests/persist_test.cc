@@ -224,6 +224,12 @@ TEST(SessionImage, HostileInputsRejectTyped)
     bad[8] = 0x7f;
     refreshTrailingChecksum(bad);
     EXPECT_EQ(persist::decodeImage(bad, out), ImageErr::BadVersion);
+    // The previous version's digests were computed by another memory
+    // hash: refused as BadVersion, never decoded into a digest mismatch.
+    bad = good;
+    bad[8] = static_cast<uint8_t>(persist::kImageVersion - 1);
+    refreshTrailingChecksum(bad);
+    EXPECT_EQ(persist::decodeImage(bad, out), ImageErr::BadVersion);
 
     // An installed-spec index past the spec list (or out of install
     // order) is Malformed, never an out-of-bounds install later.
@@ -392,7 +398,7 @@ TEST(SessionStore, LoaderFuzzQuarantinesEveryCorruption)
         {"image-version-skew",
          [&](const std::string &dir) {
              std::vector<uint8_t> b = readF(imageFileOf(dir, 2));
-             b[8] = 0x7e;
+             b[8] = static_cast<uint8_t>(persist::kImageVersion - 1);
              refreshTrailingChecksum(b);
              writeF(imageFileOf(dir, 2), b);
          },

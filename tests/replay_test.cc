@@ -155,6 +155,55 @@ expectUndoRoundTrip(Stores stores, size_t lines, uint64_t pages)
     mem.endUndoLog();
 }
 
+// ------------------------------------------------- memory content hash
+
+TEST(ContentHash, EveryBitFlipChangesTheHash)
+{
+    const Addr base = 0x40000;
+    MainMemory mem = patterned(base, 2 * PageBytes);
+    const uint64_t ref = mem.contentHash();
+    // Sampled byte positions across both pages, every bit of each,
+    // including words that straddle lane boundaries and page ends.
+    for (uint64_t off = 0; off < 2 * PageBytes; off += 61) {
+        uint8_t orig = static_cast<uint8_t>(mem.read(base + off, 1));
+        for (unsigned bit = 0; bit < 8; ++bit) {
+            mem.write(base + off, 1, orig ^ (1u << bit));
+            EXPECT_NE(mem.contentHash(), ref)
+                << "byte " << off << " bit " << bit;
+        }
+        mem.write(base + off, 1, orig);
+    }
+    EXPECT_EQ(mem.contentHash(), ref);
+}
+
+TEST(ContentHash, ZeroPageEqualsAbsentPage)
+{
+    MainMemory a = patterned(0x10000, PageBytes);
+    MainMemory b = patterned(0x10000, PageBytes);
+    // A page that was written and zeroed again exists but holds only
+    // zeros: it must hash as if it had never been touched.
+    b.write(0x80000, 8, 0x1234);
+    b.write(0x80000, 8, 0);
+    ASSERT_GT(b.pageCount(), a.pageCount());
+    EXPECT_EQ(a.contentHash(), b.contentHash());
+}
+
+TEST(ContentHash, InsertionOrderDoesNotMatter)
+{
+    MainMemory fwd, rev;
+    const unsigned pages = 64;
+    for (unsigned i = 0; i < pages; ++i)
+        fwd.write(0x100000 + i * PageBytes + 8 * i, 8, i * 0x9e37 + 1);
+    for (unsigned i = pages; i-- > 0;)
+        rev.write(0x100000 + i * PageBytes + 8 * i, 8, i * 0x9e37 + 1);
+    EXPECT_EQ(fwd.contentHash(), rev.contentHash());
+    // The same contents at other frames hash differently.
+    MainMemory moved;
+    for (unsigned i = 0; i < pages; ++i)
+        moved.write(0x200000 + i * PageBytes + 8 * i, 8, i * 0x9e37 + 1);
+    EXPECT_NE(moved.contentHash(), fwd.contentHash());
+}
+
 TEST(UndoLog, StoreStraddlingTwoLines)
 {
     expectUndoRoundTrip(
@@ -749,6 +798,47 @@ TEST_P(AllBackendsIntervalReplay, ParallelDigestsMatchSerialAndLive)
             EXPECT_EQ(par.intervals[i].endDigest,
                       serial.intervals[i].endDigest)
                 << "interval " << i;
+    }
+}
+
+TEST_P(AllBackendsIntervalReplay, JitOnAndOffGiveTheSameDigests)
+{
+    // Replicas run cached traces when the session's JIT is on and
+    // interpret otherwise; every range must end on the same digest.
+    auto verify = [](bool jit) {
+        SessionOptions so;
+        so.debugger.backend = GetParam();
+        so.timeTravel.checkpointInterval = 300;
+        if (!jit)
+            so.prepare = [](DebugTarget &t) {
+                t.jit()->config().enabled = false;
+            };
+        Program demo = buildHeisenbugDemo();
+        DebugSession s(demo, so);
+        s.setWatch(WatchSpec::scalar("directory",
+                                     demo.symbol("directory"), 8));
+        StopInfo end = s.runToEnd();
+        EXPECT_EQ(end.reason, StopReason::Halted);
+        IntervalReplay::Report rep = s.verifyReplay(1);
+        EXPECT_TRUE(rep.ok) << rep.error;
+        EXPECT_EQ(rep.finalDigest, s.digest());
+        return rep;
+    };
+    IntervalReplay::Report on = verify(true);
+    IntervalReplay::Report off = verify(false);
+    EXPECT_EQ(off.tracedUops, 0u);
+    if (GetParam() == BackendKind::Dise) {
+        EXPECT_GT(on.tracedUops, 0u);
+    }
+    EXPECT_EQ(on.uopsReplayed, off.uopsReplayed);
+    EXPECT_EQ(on.marksVerified, off.marksVerified);
+    EXPECT_EQ(on.finalDigest, off.finalDigest);
+    ASSERT_EQ(on.intervals.size(), off.intervals.size());
+    for (size_t i = 0; i < on.intervals.size(); ++i) {
+        EXPECT_EQ(on.intervals[i].startDigest, off.intervals[i].startDigest)
+            << "interval " << i;
+        EXPECT_EQ(on.intervals[i].endDigest, off.intervals[i].endDigest)
+            << "interval " << i;
     }
 }
 

@@ -1039,6 +1039,58 @@ TEST(SessionManagerDurable, HibernateRefusalsKeepSessionIntact)
     EXPECT_NE(err.find("already"), std::string::npos) << err;
 }
 
+TEST(SessionManagerDurable, UnsubscribedBacklogIsBounded)
+{
+    class RecordingSink : public EventSink
+    {
+      public:
+        std::vector<SessionEvent> got;
+        bool
+        deliver(const SessionEvent &ev) override
+        {
+            got.push_back(ev);
+            return true;
+        }
+        void farewell(const SessionEvent &) override {}
+    };
+
+    SessionManager mgr({4, smallSessions()});
+    ManagedSessionPtr ms = mgr.create("demo", BackendKind::Dise);
+    ASSERT_TRUE(ms);
+    Program demo = buildHeisenbugDemo();
+    ms->session.setWatch(
+        WatchSpec::scalar("w", demo.symbol("directory"), 8));
+    ms->session.runToEnd();
+
+    // Many verbs with nobody subscribed: each one queues events, and
+    // the verb boundary trims the backlog to its bound.
+    const size_t bound = ManagedSession::kBacklogEvents;
+    EventQueue &q = ms->session.events();
+    for (int i = 0; i < 20000 && q.totalPushed() < bound + 1000; ++i) {
+        ms->session.reverseContinue();
+        ms->pushEvents();
+        ms->session.runToEnd();
+        ms->pushEvents();
+        ASSERT_LE(q.size(), bound);
+    }
+    const uint64_t total = q.totalPushed();
+    ASSERT_GT(total, bound);
+    EXPECT_EQ(ms->eventsDropped.load(), total - q.size());
+    EXPECT_EQ(mgr.stats().eventsDropped, ms->eventsDropped.load());
+
+    // A later subscriber gets the newest events, seqs increasing, and
+    // the first seq shows the gap the drops left.
+    auto sink = std::make_shared<RecordingSink>();
+    ms->addSink(sink);
+    ms->pushEvents();
+    ASSERT_EQ(sink->got.size(), bound);
+    EXPECT_EQ(sink->got.front().seq, ms->eventsDropped.load());
+    EXPECT_EQ(sink->got.back().seq, total - 1);
+    for (size_t i = 1; i < sink->got.size(); ++i)
+        EXPECT_EQ(sink->got[i].seq, sink->got[i - 1].seq + 1);
+    EXPECT_EQ(ms->eventsPushed.load(), bound);
+}
+
 TEST(SessionManagerDurable, DroppedSubscriberGetsFarewell)
 {
     class FlakySink : public EventSink

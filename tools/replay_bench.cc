@@ -15,7 +15,8 @@
  *    interval on share-nothing replicas with 1 / 2 / 4 workers,
  *    verifying the stitched digests are bit-identical to the live
  *    session (serial 1-worker is the baseline the parallel runs are
- *    compared against).
+ *    compared against), and the replicas' trace-JIT coverage
+ *    (replica_jit_coverage: traced µops / replayed µops).
  *
  * Emits BENCH_replay.json:
  *   ./build/replay_bench --out BENCH_replay.json
@@ -54,6 +55,7 @@ struct ParallelResult
     uint64_t digest = 0;
     size_t intervals = 0;
     uint64_t uopsReplayed = 0;
+    uint64_t tracedUops = 0;
 };
 
 } // namespace
@@ -165,6 +167,7 @@ main(int argc, char **argv)
         r.digest = rep.finalDigest;
         r.intervals = rep.intervals.size();
         r.uopsReplayed = rep.uopsReplayed;
+        r.tracedUops = rep.tracedUops;
         runs.push_back(r);
         std::printf("  interval replay x%u: %8.1f ms over %zu "
                     "intervals (%.2fx vs serial)\n",
@@ -173,6 +176,15 @@ main(int argc, char **argv)
                         ? runs.front().wallMs / wall
                         : 0);
     }
+
+    // Share of replayed µops the replicas ran from cached traces
+    // (a µop count: independent of host speed and core count).
+    double coverage =
+        runs.front().uopsReplayed
+            ? static_cast<double>(runs.front().tracedUops) /
+                  static_cast<double>(runs.front().uopsReplayed)
+            : 0;
+    std::printf("  replica jit coverage: %.3f\n", coverage);
 
     FILE *f = std::fopen(out.c_str(), "w");
     if (!f)
@@ -195,6 +207,7 @@ main(int argc, char **argv)
     std::fprintf(f, "  \"reverse_to_start_ms\": %g,\n",
                  reverseToStartMs);
     std::fprintf(f, "  \"forward_retravel_ms\": %g,\n", retravelMs);
+    std::fprintf(f, "  \"replica_jit_coverage\": %g,\n", coverage);
     std::fprintf(f, "  \"interval_replay\": [\n");
     for (size_t i = 0; i < runs.size(); ++i) {
         const ParallelResult &r = runs[i];
